@@ -1,9 +1,12 @@
-// Fixed-size worker pool used by the advisor's evaluation phase.
+// Fixed-size worker pool.
 //
-// The paper (Section IV-B1) creates models for the top-n ranked candidates
-// in parallel, where n equals the number of available processors; this pool
-// provides that parallelism. Tasks are arbitrary std::function<void()>;
-// completion is observed through the returned std::future.
+// The advisor keeps one for its whole run: candidate selection builds the
+// capped candidates' local indicators and ranks removals on it, and the
+// evaluation phase fits the models of the top-n ranked candidates on it
+// (Section IV-B1: n equals the number of available processors). The engine
+// runs maintenance refits and the server runs requests on pools of their
+// own. Tasks are arbitrary std::function<void()>; completion is observed
+// through the returned std::future.
 
 #ifndef F2DB_COMMON_THREAD_POOL_H_
 #define F2DB_COMMON_THREAD_POOL_H_

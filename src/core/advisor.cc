@@ -35,11 +35,12 @@ ModelConfigurationAdvisor::ModelConfigurationAdvisor(
       options_(options),
       evaluator_(graph, options.train_fraction),
       indicators_(evaluator_, options.indicator),
+      num_threads_(options.num_threads == 0 ? ThreadPool::DefaultConcurrency()
+                                            : options.num_threads),
+      pool_(num_threads_),
       global_(graph.num_nodes()),
       blacklisted_(graph.num_nodes(), false) {
   local_cache_.resize(graph.num_nodes());
-  num_threads_ = options_.num_threads == 0 ? ThreadPool::DefaultConcurrency()
-                                           : options_.num_threads;
   batch_size_ = options_.models_per_iteration == 0 ? num_threads_
                                                    : options_.models_per_iteration;
   adaptive_batch_ = batch_size_;
@@ -72,29 +73,29 @@ const LocalIndicator& ModelConfigurationAdvisor::LocalOf(NodeId node) {
   return *local_cache_[node];
 }
 
-void ModelConfigurationAdvisor::RebuildGlobal(const ModelConfiguration& config) {
-  std::vector<const LocalIndicator*> locals;
-  for (NodeId node : config.model_nodes()) locals.push_back(&LocalOf(node));
-  global_.Rebuild(locals);
-}
-
 void ModelConfigurationAdvisor::SelectCandidates(
     const ModelConfiguration& config, std::vector<NodeId>& positive,
     std::vector<NodeId>& negative) {
   positive.clear();
   negative.clear();
-  RebuildGlobal(config);
+  const std::vector<NodeId> model_nodes = config.model_nodes();
+  std::vector<const LocalIndicator*> model_locals;
+  model_locals.reserve(model_nodes.size());
+  for (NodeId m : model_nodes) model_locals.push_back(&LocalOf(m));
+  global_.Rebuild(model_locals);
 
   const double mean = global_.Mean();
   const double stddev = global_.StdDev();
   const double threshold = mean + gamma_ * stddev;
 
-  // Preselection (Eqs. 5 and 6).
-  std::vector<NodeId> eligible;
+  // Preselection (Eqs. 5 and 6) over the nodes that carry no model and
+  // are not blacklisted.
+  std::vector<bool> excluded = blacklisted_;
+  for (NodeId m : model_nodes) excluded[m] = true;
   for (NodeId node = 0; node < graph_->num_nodes(); ++node) {
-    if (config.HasModel(node) || blacklisted_[node]) continue;
-    eligible.push_back(node);
-    if (global_.value(node) > threshold) positive.push_back(node);
+    if (!excluded[node] && global_.value(node) > threshold) {
+      positive.push_back(node);
+    }
   }
   // Value-descending order with hashed tie-breaking, so that equal
   // indicator values (common while large parts of the graph are uncovered)
@@ -106,9 +107,13 @@ void ModelConfigurationAdvisor::SelectCandidates(
     return SpreadHash(a) < SpreadHash(b);
   };
 
-  if (positive.empty() && !eligible.empty()) {
+  if (positive.empty()) {
     // Fallback: take the highest-indicator eligible nodes so the advisor
     // keeps making progress even when the threshold filtered everything.
+    std::vector<NodeId> eligible;
+    for (NodeId node = 0; node < graph_->num_nodes(); ++node) {
+      if (!excluded[node]) eligible.push_back(node);
+    }
     std::partial_sort(
         eligible.begin(),
         eligible.begin() +
@@ -130,6 +135,19 @@ void ModelConfigurationAdvisor::SelectCandidates(
                       positive.end(), by_value_spread);
     positive.resize(candidate_cap);
   }
+
+  // Build the missing local indicators of the capped candidates on the
+  // pool. ComputeLocal is pure and every task writes only its own
+  // pre-sized cache slot, so the ranking below sees the same values as a
+  // serial LocalOf would produce.
+  std::vector<NodeId> missing;
+  for (NodeId v : positive) {
+    if (!local_cache_[v].has_value()) missing.push_back(v);
+  }
+  pool_.ParallelFor(missing.size(), [&](std::size_t i) {
+    local_cache_[missing[i]] =
+        indicators_.ComputeLocal(missing[i], indicator_size_);
+  });
 
   // Ranking of positive candidates: mean of the temporary global indicator
   // min(global, local_v), lower first (Section IV-A2). The first
@@ -184,40 +202,10 @@ void ModelConfigurationAdvisor::SelectCandidates(
   positive = std::move(ranked);
   for (const auto& [score, v] : scored) positive.push_back(v);
 
-  // Negative candidates: all model nodes (their indicator is zero), ranked
-  // so that the node whose removal hurts the global indicator least comes
-  // first. Removing r replaces, at every entry r owns, the minimum by the
-  // second-best local value — tracked exactly in one linear pass over all
-  // local indicators (min / second-min per node with distinct owners).
-  const std::vector<NodeId> model_nodes = config.model_nodes();
+  // Negative candidates: all model nodes (their indicator is zero).
   if (model_nodes.size() >= 2) {
-    constexpr NodeId kNoOwner = std::numeric_limits<NodeId>::max();
-    const std::size_t num_nodes = graph_->num_nodes();
-    std::vector<double> min1(num_nodes, kUncoveredIndicator);
-    std::vector<double> min2(num_nodes, kUncoveredIndicator);
-    std::vector<NodeId> owner(num_nodes, kNoOwner);
-    for (NodeId m : model_nodes) {
-      for (const auto& [target, value] : LocalOf(m).entries) {
-        if (value < min1[target]) {
-          min2[target] = min1[target];
-          min1[target] = value;
-          owner[target] = m;
-        } else if (value < min2[target] && owner[target] != m) {
-          min2[target] = value;
-        }
-      }
-    }
-    // Removal penalty of r: sum over owned entries of (second - first).
-    std::unordered_map<NodeId, double> penalty;
-    for (NodeId m : model_nodes) penalty[m] = 0.0;
-    for (std::size_t t = 0; t < num_nodes; ++t) {
-      if (owner[t] != kNoOwner) penalty[owner[t]] += min2[t] - min1[t];
-    }
-    std::vector<std::pair<double, NodeId>> removal_scores;
-    removal_scores.reserve(model_nodes.size());
-    for (NodeId r : model_nodes) removal_scores.emplace_back(penalty[r], r);
-    std::sort(removal_scores.begin(), removal_scores.end());
-    for (const auto& [score, r] : removal_scores) negative.push_back(r);
+    negative = RankRemovals(model_nodes, model_locals, graph_->num_nodes(),
+                            pool_);
   }
 }
 
@@ -241,9 +229,7 @@ ModelConfigurationAdvisor::CreateModels(const std::vector<NodeId>& ranked) {
     }
   }
 
-  ThreadPool pool(std::min<std::size_t>(num_threads_, std::max<std::size_t>(
-                                                          1, to_build.size())));
-  pool.ParallelFor(to_build.size(), [&](std::size_t j) {
+  pool_.ParallelFor(to_build.size(), [&](std::size_t j) {
     CandidateModel& cand = out[to_build[j]];
     StopWatch watch;
     auto fitted = factory_.CreateAndFit(evaluator_.TrainSeries(cand.node));
@@ -262,8 +248,8 @@ ModelConfigurationAdvisor::CreateModels(const std::vector<NodeId>& ranked) {
     cand.newly_built = true;
   });
 
-  // Coverage from the (cached) local indicators; computed on the main
-  // thread because LocalOf mutates the cache.
+  // Coverage from the local indicators, which the selection phase has
+  // already cached for every ranked candidate.
   for (CandidateModel& cand : out) {
     if (!cand.created) continue;
     if (cand.entry.coverage.empty()) {
@@ -381,14 +367,21 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
 
     // ------------------------------------------------------- evaluation
     StopWatch evaluation_watch;
-    double error_before_iteration = config.MeanError();
+    const double error_before_iteration = config.MeanError();
+    // The configuration's error and cost, carried through the evaluation
+    // instead of re-summed over all N nodes per candidate. An accepted
+    // step carries its fresh sums; a rejected one restores the same model
+    // set and bit-identical assignments, so the carried error equals a
+    // fresh MeanError() (same values, same order). A fresh cost sum could
+    // differ only in the rounding of an order-dependent sum of measured
+    // seconds; unit costs (count_models_as_cost) sum exactly in any order.
+    double err_old = error_before_iteration;
+    double cost_old = config.TotalCostSeconds();
 
     std::vector<CandidateModel> candidates = CreateModels(positive);
     for (CandidateModel& cand : candidates) {
       if (!cand.created) continue;
       if (cand.newly_built) ++result.models_created;
-      const double err_old = config.MeanError();
-      const double cost_old = config.TotalCostSeconds();
 
       // Snapshot the assignments this model could touch, for rollback.
       std::vector<std::pair<NodeId, NodeAssignment>> saved;
@@ -412,9 +405,10 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
       ++improvement_samples_;
 
       if (Accept(err_new, cost_new, err_old, cost_old)) {
-        global_.Merge(LocalOf(node));
         ++result.models_accepted;
         consecutive_rejects = 0;
+        err_old = err_new;
+        cost_old = cost_new;
       } else {
         ModelEntry removed = config.RemoveModel(node);
         // Restoring the snapshot undoes exactly the improvements
@@ -435,18 +429,8 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
     // Deletion of the lowest-benefit negative candidate (Section IV-B2).
     if (!negative.empty() && config.num_models() >= 2) {
       const NodeId victim = negative.front();
-      const double err_old = config.MeanError();
-      const double cost_old = config.TotalCostSeconds();
-
       // Only nodes whose current scheme uses the victim can change.
-      std::vector<NodeId> affected;
-      for (NodeId t = 0; t < graph_->num_nodes(); ++t) {
-        const auto& sources = config.assignment(t).scheme.sources;
-        if (std::find(sources.begin(), sources.end(), victim) !=
-            sources.end()) {
-          affected.push_back(t);
-        }
-      }
+      const std::vector<NodeId> affected = config.NodesDerivedFrom(victim);
       std::vector<std::pair<NodeId, NodeAssignment>> saved;
       saved.reserve(affected.size());
       for (NodeId t : affected) saved.emplace_back(t, config.assignment(t));
@@ -457,7 +441,6 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
       const double cost_new = config.TotalCostSeconds();
       if (Accept(err_new, cost_new, err_old, cost_old)) {
         ++result.models_deleted;
-        RebuildGlobal(config);
       } else {
         config.AddModel(victim, std::move(removed));
         for (auto& [t, assignment] : saved) {

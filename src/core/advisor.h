@@ -5,7 +5,9 @@
 //
 //   1. Candidate selection — indicators rank positive candidates V_A
 //      (nodes likely to benefit from a model, Eq. 5) and negative
-//      candidates V_R (model nodes that may be removable, Eq. 6).
+//      candidates V_R (model nodes that may be removable, Eq. 6). The
+//      candidates' local indicators and the removal ranking are computed
+//      in parallel.
 //   2. Evaluation — models are created in parallel for the top-n ranked
 //      positive candidates (n = worker threads, mirroring the paper's
 //      processor count), their real benefit is measured, and the
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/configuration.h"
 #include "core/evaluator.h"
 #include "core/indicators.h"
@@ -57,7 +60,10 @@ struct StopCriteria {
 struct AdvisorOptions {
   /// Train fraction of every series (the paper uses about 80%).
   double train_fraction = 0.8;
-  /// Worker threads for model creation; 0 = hardware concurrency.
+  /// Worker threads of the advisor's pool, which builds the candidates'
+  /// local indicators, ranks removals and fits models; 0 = hardware
+  /// concurrency. No decision depends on the width, so reproducible-cost
+  /// runs are bit-identical on any thread count.
   std::size_t num_threads = 0;
   /// Models created per iteration (the paper's n, "restricted by the number
   /// of available processors"); 0 = same as the worker thread count. Set
@@ -180,9 +186,6 @@ class ModelConfigurationAdvisor {
   /// Lazily computes and caches the local indicator of `node`.
   const LocalIndicator& LocalOf(NodeId node);
 
-  /// Rebuilds the global indicator from the locals of all model nodes.
-  void RebuildGlobal(const ModelConfiguration& config);
-
   /// Phase 1: preselection + ranking. Returns ranked V_A and V_R.
   void SelectCandidates(const ModelConfiguration& config,
                         std::vector<NodeId>& positive,
@@ -208,6 +211,9 @@ class ModelConfigurationAdvisor {
 
   std::size_t indicator_size_ = 0;
   std::size_t num_threads_ = 1;
+  /// Runs the per-iteration parallel work: local indicators of the capped
+  /// positive candidates, the removal ranking and the batch's model fits.
+  ThreadPool pool_;
   std::size_t batch_size_ = 1;
   /// Models actually created this iteration; shrunk by the control phase
   /// when model creation dominates the iteration cost (Section IV-C1).
@@ -222,6 +228,7 @@ class ModelConfigurationAdvisor {
   std::size_t improvement_samples_ = 0;
 
   std::vector<std::optional<LocalIndicator>> local_cache_;
+  /// Rebuilt from the model nodes' locals at the start of every selection.
   GlobalIndicator global_;
   std::vector<bool> blacklisted_;
   /// Models rejected with error improvement are parked for cheap retry at

@@ -23,6 +23,27 @@ std::vector<NodeId> ModelConfiguration::model_nodes() const {
   return out;
 }
 
+std::vector<NodeId> ModelConfiguration::NodesDerivedFrom(NodeId source) const {
+  std::vector<NodeId> candidates{source};
+  if (const ModelEntry* e = entry(source)) {
+    candidates.insert(candidates.end(), e->coverage.begin(), e->coverage.end());
+  }
+  for (const auto& [target, scheme] : multi_schemes_) {
+    candidates.push_back(target);
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  std::vector<NodeId> out;
+  for (NodeId t : candidates) {
+    const std::vector<NodeId>& sources = assignments_[t].scheme.sources;
+    if (std::find(sources.begin(), sources.end(), source) != sources.end()) {
+      out.push_back(t);
+    }
+  }
+  return out;
+}
+
 void ModelConfiguration::AddModel(NodeId node, ModelEntry entry) {
   models_[node] = std::move(entry);
 }

@@ -79,6 +79,13 @@ class ModelConfiguration {
     return assignments_[node];
   }
 
+  /// Nodes whose current scheme uses `source`, ascending. Only `source`
+  /// itself, its coverage and the targets of adopted multi-source schemes
+  /// can qualify, so this inspects those instead of all nodes. Assignments
+  /// written through set_assignment count only when they restore one of
+  /// these (as the advisor's rollback does).
+  std::vector<NodeId> NodesDerivedFrom(NodeId source) const;
+
   /// Overwrites a node's assignment (used by the advisor's rollback).
   void set_assignment(NodeId node, NodeAssignment assignment) {
     assignments_[node] = std::move(assignment);

@@ -67,8 +67,20 @@ double ConfigurationEvaluator::SchemeError(
     NodeId target) const {
   if (scheme.IsEmpty() || forecasts.empty()) return 1.0;
   const double k = Weight(scheme.sources, target);
-  const std::vector<double> derived = Derive(k, forecasts);
-  return Smape(TestActual(target), derived);
+  // Smape(TestActual(target), Derive(k, forecasts)) without building either
+  // vector: the same operations in the same order, so the same bits.
+  const TimeSeries& series = graph_->series(target);
+  const std::size_t horizon =
+      std::min(test_length_, series.size() - train_length_);
+  if (horizon == 0 || horizon != forecasts[0]->size()) return 1.0;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < horizon; ++i) {
+    double derived = 0.0;
+    for (const std::vector<double>* f : forecasts) derived += (*f)[i];
+    derived *= k;
+    sum += SmapeTerm(series[train_length_ + i], derived);
+  }
+  return sum / static_cast<double>(horizon);
 }
 
 double ConfigurationEvaluator::HistoricalError(NodeId source,

@@ -44,7 +44,8 @@ class ConfigurationEvaluator {
   double Weight(const std::vector<NodeId>& sources, NodeId target) const;
 
   /// Element-wise k * sum of source forecasts (Eq. 1). All forecasts must
-  /// have equal length.
+  /// have equal length. SchemeError derives in place; this is its
+  /// reference.
   static std::vector<double> Derive(
       double weight, const std::vector<const std::vector<double>*>& forecasts);
 

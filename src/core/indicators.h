@@ -20,6 +20,8 @@
 
 namespace f2db {
 
+class ThreadPool;
+
 /// Indicator value assigned to nodes not covered by any local indicator.
 /// Historical SMAPE is bounded by 1 and the similarity term by
 /// `similarity_weight`, so this dominates every computed value.
@@ -85,6 +87,19 @@ class GlobalIndicator {
  private:
   std::vector<double> values_;
 };
+
+/// Ranks model nodes as removal candidates (V_R, Section IV-B2): the node
+/// whose removal raises the global indicator least comes first. Removing r
+/// raises each target where r holds the minimum to the best value any
+/// other local gives it (kUncoveredIndicator when none does); the rank key
+/// is the sum of those increases, ties broken by node id. `locals[i]` is
+/// the local indicator of `model_nodes[i]`, and `num_nodes` bounds every
+/// target. The work is split over target ranges and models on `pool`; the
+/// result is the same for every pool width.
+std::vector<NodeId> RankRemovals(
+    const std::vector<NodeId>& model_nodes,
+    const std::vector<const LocalIndicator*>& locals, std::size_t num_nodes,
+    ThreadPool& pool);
 
 }  // namespace f2db
 

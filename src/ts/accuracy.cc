@@ -10,9 +10,7 @@ double Smape(const std::vector<double>& actual,
   if (actual.empty() || actual.size() != forecast.size()) return 1.0;
   double sum = 0.0;
   for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double denom = std::abs(actual[i]) + std::abs(forecast[i]);
-    if (denom < 1e-12) continue;  // both ~0: perfect, contributes 0
-    sum += std::abs(actual[i] - forecast[i]) / denom;
+    sum += SmapeTerm(actual[i], forecast[i]);
   }
   return sum / static_cast<double>(actual.size());
 }

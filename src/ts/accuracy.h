@@ -8,9 +8,16 @@
 #ifndef F2DB_TS_ACCURACY_H_
 #define F2DB_TS_ACCURACY_H_
 
+#include <cmath>
 #include <vector>
 
 namespace f2db {
+
+/// One SMAPE summand: |x - xhat| / (|x| + |xhat|), and 0 when both are ~0.
+inline double SmapeTerm(double actual, double forecast) {
+  const double denom = std::abs(actual) + std::abs(forecast);
+  return denom < 1e-12 ? 0.0 : std::abs(actual - forecast) / denom;
+}
 
 /// Symmetric mean absolute percentage error (Eq. 4):
 ///   mean_t |x_t - xhat_t| / (|x_t| + |xhat_t|), in [0, 1].

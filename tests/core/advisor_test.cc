@@ -187,6 +187,47 @@ TEST(Advisor, DeterministicAcrossRuns) {
             rb.value().configuration.model_nodes());
 }
 
+TEST(Advisor, DecisionsIndependentOfThreadCount) {
+  // Reproducible-cost mode: the pool width may change only the speed.
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(60);
+  AdvisorOptions options;
+  options.count_models_as_cost = true;
+  options.models_per_iteration = 8;
+  options.seed = 2013;
+  options.stop.max_iterations = 40;
+  std::vector<AdvisorResult> results;
+  for (std::size_t threads : {1, 2, 4}) {
+    options.num_threads = threads;
+    ModelConfigurationAdvisor advisor(graph, HwFactory(12), options);
+    auto result = advisor.Run();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    results.push_back(std::move(result).value());
+  }
+  const AdvisorResult& one = results.front();
+  // The run reaches every decision path: accept, reject, delete.
+  ASSERT_GT(one.history.size(), 1u);
+  ASSERT_GT(one.models_rejected, 0u);
+  ASSERT_GT(one.models_deleted, 0u);
+  for (std::size_t r = 1; r < results.size(); ++r) {
+    const AdvisorResult& other = results[r];
+    ASSERT_EQ(other.history.size(), one.history.size());
+    for (std::size_t i = 0; i < one.history.size(); ++i) {
+      EXPECT_EQ(other.history[i].error, one.history[i].error) << i;
+      EXPECT_EQ(other.history[i].cost_seconds, one.history[i].cost_seconds)
+          << i;
+      EXPECT_EQ(other.history[i].num_models, one.history[i].num_models) << i;
+      EXPECT_EQ(other.history[i].alpha, one.history[i].alpha) << i;
+    }
+    EXPECT_EQ(other.configuration.model_nodes(),
+              one.configuration.model_nodes());
+    EXPECT_EQ(other.models_created, one.models_created);
+    EXPECT_EQ(other.models_accepted, one.models_accepted);
+    EXPECT_EQ(other.models_rejected, one.models_rejected);
+    EXPECT_EQ(other.models_deleted, one.models_deleted);
+    EXPECT_EQ(other.final_error, one.final_error);
+  }
+}
+
 TEST(Advisor, AsyncMultiSourceRunsCleanly) {
   const TimeSeriesGraph graph = testing::MakeFigure2Cube(60);
   AdvisorOptions options = FastOptions();

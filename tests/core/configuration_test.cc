@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
+
 #include "testing/test_cubes.h"
 #include "ts/exponential_smoothing.h"
 
@@ -144,6 +148,73 @@ TEST_F(ConfigurationTest, RecomputeNodesMatchesFullRecompute) {
     EXPECT_NEAR(config.assignment(n).error, reference.assignment(n).error,
                 1e-12);
   }
+}
+
+// Every node whose current scheme uses `source`, by a scan over all nodes.
+std::vector<NodeId> ScanDerivedFrom(const ModelConfiguration& config,
+                                    NodeId source) {
+  std::vector<NodeId> out;
+  for (NodeId t = 0; t < config.num_nodes(); ++t) {
+    const std::vector<NodeId>& sources = config.assignment(t).scheme.sources;
+    if (std::find(sources.begin(), sources.end(), source) != sources.end()) {
+      out.push_back(t);
+    }
+  }
+  return out;
+}
+
+TEST(ConfigurationQuery, NodesDerivedFromMatchesFullScan) {
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(48);
+  ConfigurationEvaluator evaluator(graph, 0.8);
+  const std::size_t n = graph.num_nodes();
+  std::size_t multi_adopted = 0;
+  std::size_t nonempty = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    ModelConfiguration config(n);
+    for (int i = 0; i < 8; ++i) {
+      const auto node = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      if (config.HasModel(node)) continue;
+      std::vector<NodeId> coverage = graph.NearestNodes(
+          node, static_cast<std::size_t>(rng.UniformInt(2, 24)));
+      std::sort(coverage.begin(), coverage.end());
+      config.AddModel(node, MakeEntry(evaluator, node, std::move(coverage)));
+      config.ApplyModelSchemes(evaluator, node);
+    }
+    const std::vector<NodeId> models = config.model_nodes();
+    for (int i = 0; i < 30 && models.size() >= 2; ++i) {
+      const NodeId a = models[rng.UniformInt(0, models.size() - 1)];
+      const NodeId b = models[rng.UniformInt(0, models.size() - 1)];
+      if (a == b) continue;
+      const auto target = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      if (config.TryMultiSourceScheme(evaluator, target,
+                                      DerivationScheme::Multi({a, b}))) {
+        ++multi_adopted;
+      }
+    }
+    for (NodeId m : config.model_nodes()) {
+      const std::vector<NodeId> scanned = ScanDerivedFrom(config, m);
+      EXPECT_EQ(config.NodesDerivedFrom(m), scanned)
+          << "seed " << seed << " source " << m;
+      if (!scanned.empty()) ++nonempty;
+    }
+
+    // Delete one model the way the advisor does and query again.
+    const NodeId victim = models[rng.UniformInt(0, models.size() - 1)];
+    const std::vector<NodeId> affected = ScanDerivedFrom(config, victim);
+    config.RemoveModel(victim);
+    config.RecomputeNodes(evaluator, affected);
+    EXPECT_TRUE(ScanDerivedFrom(config, victim).empty());
+    EXPECT_TRUE(config.NodesDerivedFrom(victim).empty());
+    for (NodeId m : config.model_nodes()) {
+      EXPECT_EQ(config.NodesDerivedFrom(m), ScanDerivedFrom(config, m))
+          << "seed " << seed << " source " << m << " after deleting "
+          << victim;
+    }
+  }
+  // The configurations exercised both kinds of scheme.
+  EXPECT_GT(multi_adopted, 0u);
+  EXPECT_GT(nonempty, 0u);
 }
 
 TEST_F(ConfigurationTest, ForecastsForCollectsInSchemeOrder) {

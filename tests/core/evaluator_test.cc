@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "testing/test_cubes.h"
 #include "ts/accuracy.h"
 
@@ -95,6 +97,60 @@ TEST(Evaluator, SchemeErrorEmptySchemeIsWorstCase) {
   const TimeSeriesGraph graph = testing::MakeRegionCube(40);
   ConfigurationEvaluator evaluator(graph, 0.8);
   EXPECT_DOUBLE_EQ(evaluator.SchemeError(DerivationScheme{}, {}, 0), 1.0);
+}
+
+TEST(Evaluator, SchemeErrorBitIdenticalToDeriveThenSmape) {
+  TimeSeriesGraph graph = testing::MakeFigure2Cube(40);
+  const std::vector<NodeId> base = graph.base_nodes();
+  // An all-zero series, and one that is zero over the training part only
+  // (its derivation weights and history sum vanish, its test part not).
+  ASSERT_TRUE(
+      graph.SetBaseSeries(base[0], TimeSeries(std::vector<double>(40, 0.0)))
+          .ok());
+  std::vector<double> late(40, 0.0);
+  for (std::size_t t = 32; t < 40; ++t) late[t] = 3.0 + double(t % 4);
+  ASSERT_TRUE(graph.SetBaseSeries(base[1], TimeSeries(late)).ok());
+  ASSERT_TRUE(graph.BuildAggregates().ok());
+  ConfigurationEvaluator evaluator(graph, 0.8);
+
+  // Per-node test "forecasts": the actual values with deterministic
+  // distortion, so SMAPE terms are non-trivial; all-zero stays all-zero.
+  const std::size_t n = graph.num_nodes();
+  std::vector<std::vector<double>> forecasts(n);
+  for (NodeId node = 0; node < n; ++node) {
+    forecasts[node] = evaluator.TestActual(node);
+    for (std::size_t i = 0; i < forecasts[node].size(); ++i) {
+      forecasts[node][i] *= 1.0 + 0.07 * std::sin(double(node * 13 + i));
+    }
+  }
+  auto reference = [&](const DerivationScheme& scheme, NodeId target) {
+    std::vector<const std::vector<double>*> sources;
+    for (NodeId s : scheme.sources) sources.push_back(&forecasts[s]);
+    return Smape(evaluator.TestActual(target),
+                 ConfigurationEvaluator::Derive(
+                     evaluator.Weight(scheme.sources, target), sources));
+  };
+  auto scheme_error = [&](const DerivationScheme& scheme, NodeId target) {
+    std::vector<const std::vector<double>*> sources;
+    for (NodeId s : scheme.sources) sources.push_back(&forecasts[s]);
+    return evaluator.SchemeError(scheme, sources, target);
+  };
+
+  for (NodeId source = 0; source < n; ++source) {
+    for (NodeId target = 0; target < n; ++target) {
+      const DerivationScheme single = DerivationScheme::Single(source);
+      EXPECT_EQ(scheme_error(single, target), reference(single, target))
+          << source << " -> " << target;
+      for (NodeId second = source + 1; second < n; second += 7) {
+        const DerivationScheme multi = DerivationScheme::Multi({source, second});
+        EXPECT_EQ(scheme_error(multi, target), reference(multi, target))
+            << source << "+" << second << " -> " << target;
+      }
+    }
+  }
+  // The zero cases really occur: a zero-history source derives zeros.
+  EXPECT_EQ(scheme_error(DerivationScheme::Single(base[1]), base[2]), 1.0);
+  EXPECT_EQ(scheme_error(DerivationScheme::Single(base[0]), base[0]), 0.0);
 }
 
 TEST(Evaluator, HistoricalErrorZeroForProportionalSeries) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -122,6 +126,75 @@ TEST(Indicators, UncoveredDominatesAnyComputedValue) {
   for (NodeId s = 0; s < graph.num_nodes(); ++s) {
     for (NodeId t = 0; t < graph.num_nodes(); ++t) {
       EXPECT_LT(computer.Indicate(s, t), kUncoveredIndicator);
+    }
+  }
+}
+
+// RankRemovals by its definition: the increase of every global entry when
+// one local is dropped, summed over all targets in ascending order.
+std::vector<NodeId> RankRemovalsByDefinition(
+    const std::vector<NodeId>& model_nodes,
+    const std::vector<LocalIndicator>& locals, std::size_t num_nodes) {
+  auto global_without = [&](std::size_t skip) {
+    std::vector<double> global(num_nodes, kUncoveredIndicator);
+    for (std::size_t i = 0; i < locals.size(); ++i) {
+      if (i == skip) continue;
+      for (const auto& [target, value] : locals[i].entries) {
+        global[target] = std::min(global[target], value);
+      }
+    }
+    return global;
+  };
+  const std::vector<double> all = global_without(locals.size());
+  std::vector<std::pair<double, NodeId>> scores;
+  for (std::size_t r = 0; r < model_nodes.size(); ++r) {
+    const std::vector<double> rest = global_without(r);
+    double penalty = 0.0;
+    for (std::size_t t = 0; t < num_nodes; ++t) penalty += rest[t] - all[t];
+    scores.emplace_back(penalty, model_nodes[r]);
+  }
+  std::sort(scores.begin(), scores.end());
+  std::vector<NodeId> ranked;
+  for (const auto& [penalty, node] : scores) ranked.push_back(node);
+  return ranked;
+}
+
+TEST(Indicators, RemovalRankingMatchesDefinitionOnEveryPoolWidth) {
+  constexpr std::size_t kNodes = 97;
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool three(3);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // Distinct ascending model nodes, each with a random sorted local that
+    // holds itself at 0 and values from a small set, so ties are common.
+    std::vector<NodeId> model_nodes;
+    for (NodeId node = 0; node < kNodes; ++node) {
+      if (rng.NextBernoulli(0.15)) model_nodes.push_back(node);
+    }
+    if (model_nodes.size() < 2) continue;
+    std::vector<LocalIndicator> locals;
+    for (NodeId source : model_nodes) {
+      LocalIndicator local;
+      local.source = source;
+      local.entries.emplace_back(source, 0.0);
+      for (NodeId target = 0; target < kNodes; ++target) {
+        if (target != source && rng.NextBernoulli(0.3)) {
+          local.entries.emplace_back(
+              target, 0.125 * static_cast<double>(rng.UniformInt(1, 12)));
+        }
+      }
+      std::sort(local.entries.begin(), local.entries.end());
+      locals.push_back(std::move(local));
+    }
+    std::vector<const LocalIndicator*> pointers;
+    for (const LocalIndicator& local : locals) pointers.push_back(&local);
+
+    const std::vector<NodeId> expected =
+        RankRemovalsByDefinition(model_nodes, locals, kNodes);
+    for (ThreadPool* pool : {&one, &two, &three}) {
+      EXPECT_EQ(RankRemovals(model_nodes, pointers, kNodes, *pool), expected)
+          << "seed " << seed << " width " << pool->size();
     }
   }
 }
