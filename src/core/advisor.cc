@@ -77,12 +77,13 @@ void ModelConfigurationAdvisor::SelectCandidates(
     const ModelConfiguration& config, std::vector<NodeId>& positive,
     std::vector<NodeId>& negative) {
   positive.clear();
-  negative.clear();
   const std::vector<NodeId> model_nodes = config.model_nodes();
   std::vector<const LocalIndicator*> model_locals;
   model_locals.reserve(model_nodes.size());
   for (NodeId m : model_nodes) model_locals.push_back(&LocalOf(m));
-  global_.Rebuild(model_locals);
+  // One pass fills the global indicator and ranks the negative candidates
+  // (all model nodes; their indicator is zero).
+  negative = global_.RebuildAndRankRemovals(model_nodes, model_locals, pool_);
 
   const double mean = global_.Mean();
   const double stddev = global_.StdDev();
@@ -201,12 +202,6 @@ void ModelConfigurationAdvisor::SelectCandidates(
   std::sort(scored.begin(), scored.end());
   positive = std::move(ranked);
   for (const auto& [score, v] : scored) positive.push_back(v);
-
-  // Negative candidates: all model nodes (their indicator is zero).
-  if (model_nodes.size() >= 2) {
-    negative = RankRemovals(model_nodes, model_locals, graph_->num_nodes(),
-                            pool_);
-  }
 }
 
 std::vector<ModelConfigurationAdvisor::CandidateModel>
@@ -370,29 +365,26 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
     const double error_before_iteration = config.MeanError();
     // The configuration's error and cost, carried through the evaluation
     // instead of re-summed over all N nodes per candidate. An accepted
-    // step carries its fresh sums; a rejected one restores the same model
-    // set and bit-identical assignments, so the carried error equals a
-    // fresh MeanError() (same values, same order). A fresh cost sum could
-    // differ only in the rounding of an order-dependent sum of measured
-    // seconds; unit costs (count_models_as_cost) sum exactly in any order.
+    // step carries its fresh sums; a rejected one removes the model and
+    // rolls back every assignment ApplyModelSchemes lowered from its undo
+    // log, which restores the same model set and bit-identical
+    // assignments, so the carried error equals a fresh MeanError() (same
+    // values, same order). A fresh cost sum could differ only in the
+    // rounding of an order-dependent sum of measured seconds; unit costs
+    // (count_models_as_cost) sum exactly in any order.
     double err_old = error_before_iteration;
     double cost_old = config.TotalCostSeconds();
 
     std::vector<CandidateModel> candidates = CreateModels(positive);
+    std::vector<std::pair<NodeId, NodeAssignment>> undo;
     for (CandidateModel& cand : candidates) {
       if (!cand.created) continue;
       if (cand.newly_built) ++result.models_created;
 
-      // Snapshot the assignments this model could touch, for rollback.
-      std::vector<std::pair<NodeId, NodeAssignment>> saved;
-      saved.emplace_back(cand.node, config.assignment(cand.node));
-      for (NodeId target : cand.entry.coverage) {
-        saved.emplace_back(target, config.assignment(target));
-      }
-
       const NodeId node = cand.node;
       config.AddModel(node, std::move(cand.entry));
-      config.ApplyModelSchemes(evaluator_, node);
+      undo.clear();
+      config.ApplyModelSchemes(evaluator_, node, &undo);
       const double err_new = config.MeanError();
       const double cost_new = config.TotalCostSeconds();
 
@@ -411,10 +403,9 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
         cost_old = cost_new;
       } else {
         ModelEntry removed = config.RemoveModel(node);
-        // Restoring the snapshot undoes exactly the improvements
-        // ApplyModelSchemes made (it never worsens other assignments).
-        for (auto& [target, assignment] : saved) {
-          config.set_assignment(target, assignment);
+        // ApplyModelSchemes changed only the assignments it logged.
+        for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+          config.set_assignment(it->first, std::move(it->second));
         }
         ++result.models_rejected;
         ++consecutive_rejects;

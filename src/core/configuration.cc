@@ -99,7 +99,8 @@ double ModelConfiguration::MeanError() const {
 }
 
 std::size_t ModelConfiguration::ApplyModelSchemes(
-    const ConfigurationEvaluator& evaluator, NodeId source) {
+    const ConfigurationEvaluator& evaluator, NodeId source,
+    std::vector<std::pair<NodeId, NodeAssignment>>* undo) {
   const auto it = models_.find(source);
   if (it == models_.end()) return 0;
   const ModelEntry& entry = it->second;
@@ -110,6 +111,9 @@ std::size_t ModelConfiguration::ApplyModelSchemes(
     const DerivationScheme scheme = DerivationScheme::Single(source);
     const double error = evaluator.SchemeError(scheme, {forecast}, target);
     if (error < assignments_[target].error) {
+      if (undo != nullptr) {
+        undo->emplace_back(target, std::move(assignments_[target]));
+      }
       assignments_[target].error = error;
       assignments_[target].scheme = scheme;
       ++improved;

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/derivation.h"
@@ -106,9 +107,12 @@ class ModelConfiguration {
 
   /// Tries all single-source schemes from the model at `source` to every
   /// node in its coverage (and itself); lowers assignments where the new
-  /// scheme is better. Returns the number of improved nodes.
-  std::size_t ApplyModelSchemes(const ConfigurationEvaluator& evaluator,
-                                NodeId source);
+  /// scheme is better. When `undo` is given, appends (node, previous
+  /// assignment) for each assignment it lowers, in the order it lowers
+  /// them. Returns the number of improved nodes.
+  std::size_t ApplyModelSchemes(
+      const ConfigurationEvaluator& evaluator, NodeId source,
+      std::vector<std::pair<NodeId, NodeAssignment>>* undo = nullptr);
 
   /// Installs a multi-source scheme for `target` when it improves on the
   /// current assignment; remembered so recomputation can re-validate it.

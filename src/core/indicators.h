@@ -73,8 +73,19 @@ class GlobalIndicator {
   /// Merges one local indicator (element-wise min).
   void Merge(const LocalIndicator& local);
 
-  /// Resets to "uncovered" and merges all given locals.
-  void Rebuild(const std::vector<const LocalIndicator*>& locals);
+  /// Resets to "uncovered" and merges the local indicators of the model
+  /// nodes; `locals[i]` belongs to `model_nodes[i]`. The merge is split
+  /// over target ranges on `pool`, and the same pass ranks the models as
+  /// removal candidates (V_R, Section IV-B2): the node whose removal
+  /// raises the global indicator least comes first. Removing r raises each
+  /// target where r holds the minimum to the best value any other local
+  /// gives it (kUncoveredIndicator when none does); the rank key is the
+  /// sum of those increases, ties broken by node id. Returns the ranking,
+  /// empty with fewer than two models. Values and ranking are the same for
+  /// every pool width.
+  std::vector<NodeId> RebuildAndRankRemovals(
+      const std::vector<NodeId>& model_nodes,
+      const std::vector<const LocalIndicator*>& locals, ThreadPool& pool);
 
   double value(NodeId node) const { return values_[node]; }
   const std::vector<double>& values() const { return values_; }
@@ -87,19 +98,6 @@ class GlobalIndicator {
  private:
   std::vector<double> values_;
 };
-
-/// Ranks model nodes as removal candidates (V_R, Section IV-B2): the node
-/// whose removal raises the global indicator least comes first. Removing r
-/// raises each target where r holds the minimum to the best value any
-/// other local gives it (kUncoveredIndicator when none does); the rank key
-/// is the sum of those increases, ties broken by node id. `locals[i]` is
-/// the local indicator of `model_nodes[i]`, and `num_nodes` bounds every
-/// target. The work is split over target ranges and models on `pool`; the
-/// result is the same for every pool width.
-std::vector<NodeId> RankRemovals(
-    const std::vector<NodeId>& model_nodes,
-    const std::vector<const LocalIndicator*>& locals, std::size_t num_nodes,
-    ThreadPool& pool);
 
 }  // namespace f2db
 

@@ -17,6 +17,7 @@ Result<TimeSeriesGraph> TimeSeriesGraph::Create(CubeSchema schema) {
   }
 
   graph.slots_per_dim_.resize(dims);
+  graph.strides_.resize(dims);
   graph.level_offsets_.resize(dims);
   std::size_t total = 1;
   for (std::size_t d = 0; d < dims; ++d) {
@@ -28,6 +29,7 @@ Result<TimeSeriesGraph> TimeSeriesGraph::Create(CubeSchema schema) {
       slots += h.num_values(l);
     }
     graph.slots_per_dim_[d] = slots;
+    graph.strides_[d] = total;
     if (total > std::numeric_limits<NodeId>::max() / slots) {
       return Status::OutOfRange("graph too large for 32-bit node ids");
     }
@@ -70,10 +72,18 @@ std::size_t TimeSeriesGraph::SlotOf(std::size_t dim, LevelIndex level,
   return level_offsets_[dim][level] + value;
 }
 
+NodeAddress::Coordinate TimeSeriesGraph::CoordinateOf(std::size_t dim,
+                                                      std::size_t slot) const {
+  // The highest level whose first slot is at or below `slot`.
+  const std::vector<std::size_t>& offsets = level_offsets_[dim];
+  auto level = static_cast<LevelIndex>(offsets.size() - 1);
+  while (level > 0 && slot < offsets[level]) --level;
+  return {level, static_cast<ValueIndex>(slot - offsets[level])};
+}
+
 bool TimeSeriesGraph::IsBaseNode(NodeId node) const {
-  const NodeAddress address = AddressOf(node);
-  for (const auto& c : address.coords) {
-    if (c.level != 0) return false;
+  for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
+    if (CoordinateOf(d, SlotAt(node, d)).level != 0) return false;
   }
   return true;
 }
@@ -82,22 +92,8 @@ NodeAddress TimeSeriesGraph::AddressOf(NodeId node) const {
   const std::size_t dims = schema_.num_dimensions();
   NodeAddress address;
   address.coords.resize(dims);
-  std::size_t rest = node;
   for (std::size_t d = 0; d < dims; ++d) {
-    const std::size_t slot = rest % slots_per_dim_[d];
-    rest /= slots_per_dim_[d];
-    // Find the level containing this slot.
-    const Hierarchy& h = schema_.hierarchy(d);
-    LevelIndex level = 0;
-    for (LevelIndex l = h.num_levels();; --l) {
-      if (slot >= level_offsets_[d][l]) {
-        level = l;
-        break;
-      }
-      if (l == 0) break;
-    }
-    address.coords[d] = {level, static_cast<ValueIndex>(
-                                    slot - level_offsets_[d][level])};
+    address.coords[d] = CoordinateOf(d, SlotAt(node, d));
   }
   return address;
 }
@@ -132,21 +128,9 @@ std::string TimeSeriesGraph::NodeName(NodeId node) const {
 
 void TimeSeriesGraph::NodeNameInto(NodeId node, std::string* out) const {
   out->clear();
-  const std::size_t dims = schema_.num_dimensions();
-  std::size_t rest = node;
-  for (std::size_t d = 0; d < dims; ++d) {
-    const std::size_t slot = rest % slots_per_dim_[d];
-    rest /= slots_per_dim_[d];
+  for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
     const Hierarchy& h = schema_.hierarchy(d);
-    LevelIndex level = 0;
-    for (LevelIndex l = h.num_levels();; --l) {
-      if (slot >= level_offsets_[d][l]) {
-        level = l;
-        break;
-      }
-      if (l == 0) break;
-    }
-    const auto value = static_cast<ValueIndex>(slot - level_offsets_[d][level]);
+    const auto [level, value] = CoordinateOf(d, SlotAt(node, d));
     if (d > 0) out->push_back(',');
     out->append(h.level_name(level));
     out->push_back('=');
@@ -155,28 +139,26 @@ void TimeSeriesGraph::NodeNameInto(NodeId node, std::string* out) const {
 }
 
 std::size_t TimeSeriesGraph::LevelSum(NodeId node) const {
-  const NodeAddress address = AddressOf(node);
   std::size_t sum = 0;
-  for (const auto& c : address.coords) sum += c.level;
+  for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
+    sum += CoordinateOf(d, SlotAt(node, d)).level;
+  }
   return sum;
 }
 
 std::vector<NodeId> TimeSeriesGraph::Children(NodeId node,
                                               std::size_t dim) const {
-  NodeAddress address = AddressOf(node);
-  const auto& c = address.coords[dim];
-  if (c.level == 0) return {};
-  const Hierarchy& h = schema_.hierarchy(dim);
+  const std::size_t slot = SlotAt(node, dim);
+  const auto [level, value] = CoordinateOf(dim, slot);
+  if (level == 0) return {};
   const std::vector<ValueIndex>& child_values =
-      h.child_values(c.level, c.value);
+      schema_.hierarchy(dim).child_values(level, value);
+  const std::size_t rest = node - slot * strides_[dim];
   std::vector<NodeId> out;
   out.reserve(child_values.size());
   for (ValueIndex v : child_values) {
-    NodeAddress child = address;
-    child.coords[dim] = {static_cast<LevelIndex>(c.level - 1), v};
-    const auto id = NodeFor(child);
-    assert(id.ok());
-    out.push_back(id.value());
+    out.push_back(static_cast<NodeId>(
+        rest + SlotOf(dim, level - 1, v) * strides_[dim]));
   }
   return out;
 }
@@ -192,30 +174,24 @@ TimeSeriesGraph::ChildSets(NodeId node) const {
 }
 
 Result<NodeId> TimeSeriesGraph::Parent(NodeId node, std::size_t dim) const {
-  NodeAddress address = AddressOf(node);
-  const auto& c = address.coords[dim];
+  const std::size_t slot = SlotAt(node, dim);
+  const auto [level, value] = CoordinateOf(dim, slot);
   const Hierarchy& h = schema_.hierarchy(dim);
-  if (c.level >= h.num_levels()) {
+  if (level >= h.num_levels()) {
     return Status::OutOfRange("node already at ALL in dimension " +
                               std::to_string(dim));
   }
   // parent_value returns the ALL value (0) for the topmost declared level.
-  NodeAddress up = address;
-  up.coords[dim] = {static_cast<LevelIndex>(c.level + 1),
-                    h.parent_value(c.level, c.value)};
-  return NodeFor(up);
+  const std::size_t up = SlotOf(dim, level + 1, h.parent_value(level, value));
+  return static_cast<NodeId>(node - slot * strides_[dim] + up * strides_[dim]);
 }
 
 std::size_t TimeSeriesGraph::Distance(NodeId a, NodeId b) const {
-  const NodeAddress aa = AddressOf(a);
-  const NodeAddress bb = AddressOf(b);
   std::size_t total = 0;
   for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
     const Hierarchy& h = schema_.hierarchy(d);
-    LevelIndex la = aa.coords[d].level;
-    LevelIndex lb = bb.coords[d].level;
-    ValueIndex va = aa.coords[d].value;
-    ValueIndex vb = bb.coords[d].value;
+    auto [la, va] = CoordinateOf(d, SlotAt(a, d));
+    auto [lb, vb] = CoordinateOf(d, SlotAt(b, d));
     std::size_t steps = 0;
     auto lift = [&h](LevelIndex& level, ValueIndex& value) {
       value = h.parent_value(level, value);
@@ -247,30 +223,46 @@ std::vector<NodeId> TimeSeriesGraph::NearestNodes(NodeId node,
   std::vector<bool> visited(num_nodes_, false);
   visited[node] = true;
   std::vector<NodeId> frontier{node};
+  std::vector<NodeId> next;
+  auto visit = [&](std::size_t id) {
+    if (!visited[id]) {
+      visited[id] = true;
+      next.push_back(static_cast<NodeId>(id));
+    }
+  };
   while (!frontier.empty() && out.size() < k) {
-    std::vector<NodeId> next;
+    next.clear();
     for (NodeId cur : frontier) {
-      // Neighbors: children in every dimension plus parents.
+      // Neighbors: children in every dimension plus parents, decoded in
+      // place from the id's digit in that dimension.
       for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
-        for (NodeId child : Children(cur, d)) {
-          if (!visited[child]) {
-            visited[child] = true;
-            next.push_back(child);
+        const Hierarchy& h = schema_.hierarchy(d);
+        const std::size_t stride = strides_[d];
+        const std::size_t slot = SlotAt(cur, d);
+        const auto [level, value] = CoordinateOf(d, slot);
+        const std::size_t rest = cur - slot * stride;
+        if (level > 0) {
+          for (ValueIndex v : h.child_values(level, value)) {
+            visit(rest + SlotOf(d, level - 1, v) * stride);
           }
         }
-        const auto parent = Parent(cur, d);
-        if (parent.ok() && !visited[parent.value()]) {
-          visited[parent.value()] = true;
-          next.push_back(parent.value());
+        if (level < h.num_levels()) {
+          visit(rest + SlotOf(d, level + 1, h.parent_value(level, value)) *
+                           stride);
         }
       }
     }
-    std::sort(next.begin(), next.end());
-    for (NodeId id : next) {
-      if (out.size() >= k) break;
-      out.push_back(id);
+    // Only the smallest ids of a layer that does not fit are kept.
+    const std::size_t room = k - out.size();
+    if (next.size() > room) {
+      std::nth_element(next.begin(),
+                       next.begin() + static_cast<std::ptrdiff_t>(room),
+                       next.end());
+      next.resize(room);
     }
-    frontier = std::move(next);
+    std::sort(next.begin(), next.end());
+    out.insert(out.end(), next.begin(), next.end());
+    std::swap(frontier, next);
   }
   return out;
 }
@@ -298,9 +290,8 @@ Status TimeSeriesGraph::BuildAggregates() {
   for (NodeId node : aggregation_order_) {
     // Aggregate along the first dimension that is above level 0; children
     // there have a strictly smaller level sum and are already computed.
-    const NodeAddress address = AddressOf(node);
     std::size_t dim = 0;
-    while (address.coords[dim].level == 0) ++dim;
+    while (CoordinateOf(dim, SlotAt(node, dim)).level == 0) ++dim;
     const std::vector<NodeId> children = Children(node, dim);
     assert(!children.empty());
     std::vector<double> sum(n, 0.0);
@@ -327,9 +318,8 @@ Status TimeSeriesGraph::AdvanceTime(const std::vector<double>& base_values) {
     series_[base_nodes_[i]].Append(base_values[i]);
   }
   for (NodeId node : aggregation_order_) {
-    const NodeAddress address = AddressOf(node);
     std::size_t dim = 0;
-    while (address.coords[dim].level == 0) ++dim;
+    while (CoordinateOf(dim, SlotAt(node, dim)).level == 0) ++dim;
     double sum = 0.0;
     for (NodeId child : Children(node, dim)) {
       const TimeSeries& child_series = series_[child];
@@ -363,9 +353,8 @@ Result<std::vector<double>> TimeSeriesGraph::AggregateBaseScalars(
     out[base_nodes_[i]] = base_scalars[i];
   }
   for (NodeId node : aggregation_order_) {
-    const NodeAddress address = AddressOf(node);
     std::size_t dim = 0;
-    while (address.coords[dim].level == 0) ++dim;
+    while (CoordinateOf(dim, SlotAt(node, dim)).level == 0) ++dim;
     double sum = 0.0;
     for (NodeId child : Children(node, dim)) sum += out[child];
     out[node] = sum;

@@ -138,10 +138,24 @@ class TimeSeriesGraph {
   /// Per-dimension mixed-radix slot of a coordinate.
   std::size_t SlotOf(std::size_t dim, LevelIndex level, ValueIndex value) const;
 
+  /// The slot (mixed-radix digit) of `node` in dimension `dim`. The node
+  /// that differs from `node` only by having slot `s` there is
+  /// `node - SlotAt(node, dim) * strides_[dim] + s * strides_[dim]`.
+  std::size_t SlotAt(NodeId node, std::size_t dim) const {
+    return node / strides_[dim] % slots_per_dim_[dim];
+  }
+
+  /// The (level, value) coordinate a slot of dimension `dim` encodes.
+  NodeAddress::Coordinate CoordinateOf(std::size_t dim,
+                                       std::size_t slot) const;
+
   CubeSchema schema_;
   std::size_t num_nodes_ = 0;
   /// slots_per_dim_[d] = number of (level, value) combinations in dim d.
   std::vector<std::size_t> slots_per_dim_;
+  /// strides_[d] = product of slots_per_dim_ over dimensions below d
+  /// (dimension 0 is the least significant digit of a node id).
+  std::vector<std::size_t> strides_;
   /// level_offsets_[d][l] = first slot of level l in dimension d.
   std::vector<std::vector<std::size_t>> level_offsets_;
   std::vector<NodeId> base_nodes_;

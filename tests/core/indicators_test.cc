@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "data/datasets.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -94,6 +97,7 @@ TEST(GlobalIndicator, MergeTakesElementwiseMin) {
 }
 
 TEST(GlobalIndicator, RebuildResetsFirst) {
+  ThreadPool pool(2);
   GlobalIndicator global(2);
   LocalIndicator a;
   a.source = 0;
@@ -102,9 +106,12 @@ TEST(GlobalIndicator, RebuildResetsFirst) {
   LocalIndicator b;
   b.source = 1;
   b.entries = {{1, 0.3}};
-  global.Rebuild({&b});
+  EXPECT_TRUE(global.RebuildAndRankRemovals({1}, {&b}, pool).empty());
   EXPECT_DOUBLE_EQ(global.value(0), kUncoveredIndicator);  // a gone
   EXPECT_DOUBLE_EQ(global.value(1), 0.3);
+  EXPECT_TRUE(global.RebuildAndRankRemovals({}, {}, pool).empty());
+  EXPECT_DOUBLE_EQ(global.value(0), kUncoveredIndicator);
+  EXPECT_DOUBLE_EQ(global.value(1), kUncoveredIndicator);
 }
 
 TEST(GlobalIndicator, MeanAndStdDev) {
@@ -159,11 +166,29 @@ std::vector<NodeId> RankRemovalsByDefinition(
   return ranked;
 }
 
+// The global indicator by its definition: Merge of every local in turn.
+std::vector<double> GlobalByMerge(const std::vector<LocalIndicator>& locals,
+                                  std::size_t count, std::size_t num_nodes) {
+  GlobalIndicator global(num_nodes);
+  for (std::size_t i = 0; i < count; ++i) global.Merge(locals[i]);
+  return global.values();
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(Indicators, RemovalRankingMatchesDefinitionOnEveryPoolWidth) {
   constexpr std::size_t kNodes = 97;
   ThreadPool one(1);
   ThreadPool two(2);
   ThreadPool three(3);
+  // A local that the rebuild must drop: it covers every node at 0.
+  LocalIndicator stale;
+  for (NodeId node = 0; node < kNodes; ++node) {
+    stale.entries.emplace_back(node, 0.0);
+  }
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     // Distinct ascending model nodes, each with a random sorted local that
@@ -172,7 +197,6 @@ TEST(Indicators, RemovalRankingMatchesDefinitionOnEveryPoolWidth) {
     for (NodeId node = 0; node < kNodes; ++node) {
       if (rng.NextBernoulli(0.15)) model_nodes.push_back(node);
     }
-    if (model_nodes.size() < 2) continue;
     std::vector<LocalIndicator> locals;
     for (NodeId source : model_nodes) {
       LocalIndicator local;
@@ -190,11 +214,124 @@ TEST(Indicators, RemovalRankingMatchesDefinitionOnEveryPoolWidth) {
     std::vector<const LocalIndicator*> pointers;
     for (const LocalIndicator& local : locals) pointers.push_back(&local);
 
-    const std::vector<NodeId> expected =
-        RankRemovalsByDefinition(model_nodes, locals, kNodes);
-    for (ThreadPool* pool : {&one, &two, &three}) {
-      EXPECT_EQ(RankRemovals(model_nodes, pointers, kNodes, *pool), expected)
-          << "seed " << seed << " width " << pool->size();
+    // The full model set, and its first zero and one models.
+    for (std::size_t count :
+         {std::size_t{0}, std::min<std::size_t>(1, model_nodes.size()),
+          model_nodes.size()}) {
+      const std::vector<NodeId> nodes(model_nodes.begin(),
+                                      model_nodes.begin() + count);
+      const std::vector<const LocalIndicator*> subset(
+          pointers.begin(), pointers.begin() + count);
+      const std::vector<NodeId> expected =
+          count >= 2 ? RankRemovalsByDefinition(nodes, locals, kNodes)
+                     : std::vector<NodeId>{};
+      const std::vector<double> merged = GlobalByMerge(locals, count, kNodes);
+      for (ThreadPool* pool : {&one, &two, &three}) {
+        GlobalIndicator global(kNodes);
+        global.Merge(stale);
+        EXPECT_EQ(global.RebuildAndRankRemovals(nodes, subset, *pool),
+                  expected)
+            << "seed " << seed << " models " << count << " width "
+            << pool->size();
+        EXPECT_TRUE(SameBits(global.values(), merged))
+            << "seed " << seed << " models " << count << " width "
+            << pool->size();
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// ComputeLocal's lane-blocked kernel against Indicate, bit for bit.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every entry of the local of `source` at `size` holds exactly the bits
+/// of Indicate(source, target); the targets are the source and its
+/// NearestNodes, ascending.
+void ExpectLocalMatchesIndicate(const IndicatorComputer& computer,
+                                const TimeSeriesGraph& graph, NodeId source,
+                                std::size_t size) {
+  const LocalIndicator local = computer.ComputeLocal(source, size);
+  std::vector<NodeId> want = graph.NearestNodes(source, size);
+  want.push_back(source);
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(local.entries.size(), want.size()) << "source " << source;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto [target, value] = local.entries[i];
+    ASSERT_EQ(target, want[i]) << "source " << source;
+    const double expected = computer.Indicate(source, target);
+    EXPECT_TRUE(SameBits(value, expected))
+        << "source " << source << " target " << target << ": " << value
+        << " vs " << expected;
+  }
+}
+
+TEST(Indicators, LocalKernelBitIdenticalToIndicate) {
+  std::vector<DataSet> sets;
+  sets.push_back(MakeTourism().value());
+  sets.push_back(MakeSales().value());
+  sets.push_back(MakeEnergy().value());
+  for (const DataSet& data : sets) {
+    const TimeSeriesGraph& graph = data.graph;
+    ConfigurationEvaluator evaluator(graph, 0.8);
+    IndicatorComputer computer(evaluator, IndicatorOptions{});
+    for (NodeId source = 0; source < graph.num_nodes(); ++source) {
+      // The whole graph, and a size that leaves a partial lane block.
+      ExpectLocalMatchesIndicate(computer, graph, source,
+                                 graph.num_nodes() - 1);
+      ExpectLocalMatchesIndicate(computer, graph, source, 13);
+    }
+  }
+  const DataSet gen = MakeGenX(10000).value();
+  ConfigurationEvaluator evaluator(gen.graph, 0.8);
+  IndicatorComputer computer(evaluator, IndicatorOptions{});
+  for (NodeId source = 0; source < gen.graph.num_nodes(); source += 211) {
+    ExpectLocalMatchesIndicate(computer, gen.graph, source, 1024);
+  }
+  ExpectLocalMatchesIndicate(computer, gen.graph, gen.graph.top_node(), 1024);
+}
+
+TEST(Indicators, LocalKernelBitIdenticalOnCraftedSeries) {
+  // One flat dimension of nine cities (ten nodes with ALL); training
+  // length 8 of 10 observations.
+  std::vector<std::string> names;
+  for (int c = 0; c < 9; ++c) names.push_back("C" + std::to_string(c));
+  CubeSchema schema;
+  ASSERT_TRUE(schema.AddHierarchy(Hierarchy::Flat("city", names)).ok());
+  TimeSeriesGraph graph = TimeSeriesGraph::Create(std::move(schema)).value();
+  const std::vector<std::vector<double>> series = {
+      {0, 0, 0, 0, 0, 0, 0, 0, 3, 4},      // all-zero training values
+      {0, 0, 0, 5, 0, 0, 0, 0, 1, 1},      // exactly one nonzero step
+      {2, -2, 3, -3, 1, -1, 4, -4, 2, 2},  // history sum 0: weight k = 0
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},      // all-zero target
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+      {5, 5, 5, 5, 5, 5, 5, 5, 5, 5},
+      {1e-13, 1, 1e-13, 2, 0, 3, 1e-13, 4, 1, 1},  // near-zero source steps
+      {-1, -2, -3, -1, -2, -3, -1, -2, 0, 0},
+      {3.25, 0.5, 7.75, 1e6, 2e-6, 9, 4, 1, 1, 1},
+  };
+  for (std::size_t c = 0; c < series.size(); ++c) {
+    ASSERT_TRUE(
+        graph.SetBaseSeries(graph.base_nodes()[c], TimeSeries(series[c]))
+            .ok());
+  }
+  ASSERT_TRUE(graph.BuildAggregates().ok());
+  ConfigurationEvaluator evaluator(graph, 0.8);
+  ASSERT_EQ(evaluator.train_length(), 8u);
+  IndicatorOptions similarity_only;
+  similarity_only.historical_weight = 0.0;
+  similarity_only.similarity_weight = 1.0;
+  for (const IndicatorOptions& options :
+       {IndicatorOptions{}, similarity_only}) {
+    IndicatorComputer computer(evaluator, options);
+    for (NodeId source = 0; source < graph.num_nodes(); ++source) {
+      // Target counts of 0, 1, a partial block, one full block and more.
+      for (std::size_t size : {0, 1, 3, 8, 9}) {
+        ExpectLocalMatchesIndicate(computer, graph, source, size);
+      }
     }
   }
 }

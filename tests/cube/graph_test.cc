@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "data/datasets.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -248,6 +253,231 @@ TEST(Graph, NodeNameIsHumanReadable) {
 
 TEST(Graph, RejectsEmptySchema) {
   EXPECT_FALSE(TimeSeriesGraph::Create(CubeSchema()).ok());
+}
+
+// ---------------------------------------------------------------------
+// The graph walks against reference implementations that go through an
+// explicit NodeAddress for every step, as the first version of the graph
+// did.
+
+/// Decodes a node id from the schema alone: one mixed-radix digit per
+/// dimension, dimension 0 least significant, slots ordered by level.
+NodeAddress DecodeReference(const CubeSchema& schema, NodeId node) {
+  NodeAddress address;
+  std::size_t rest = node;
+  for (std::size_t d = 0; d < schema.num_dimensions(); ++d) {
+    const Hierarchy& h = schema.hierarchy(d);
+    std::size_t slots = 0;
+    for (LevelIndex l = 0; l <= h.num_levels(); ++l) slots += h.num_values(l);
+    std::size_t slot = rest % slots;
+    rest /= slots;
+    LevelIndex level = 0;
+    while (slot >= h.num_values(level)) {
+      slot -= h.num_values(level);
+      ++level;
+    }
+    address.coords.push_back({level, static_cast<ValueIndex>(slot)});
+  }
+  return address;
+}
+
+std::vector<NodeId> ChildrenReference(const TimeSeriesGraph& graph,
+                                      NodeId node, std::size_t dim) {
+  const NodeAddress address = DecodeReference(graph.schema(), node);
+  const auto& c = address.coords[dim];
+  if (c.level == 0) return {};
+  std::vector<NodeId> out;
+  for (ValueIndex v :
+       graph.schema().hierarchy(dim).child_values(c.level, c.value)) {
+    NodeAddress child = address;
+    child.coords[dim] = {static_cast<LevelIndex>(c.level - 1), v};
+    out.push_back(graph.NodeFor(child).value());
+  }
+  return out;
+}
+
+std::optional<NodeId> ParentReference(const TimeSeriesGraph& graph,
+                                      NodeId node, std::size_t dim) {
+  const NodeAddress address = DecodeReference(graph.schema(), node);
+  const auto& c = address.coords[dim];
+  const Hierarchy& h = graph.schema().hierarchy(dim);
+  if (c.level >= h.num_levels()) return std::nullopt;
+  NodeAddress up = address;
+  up.coords[dim] = {static_cast<LevelIndex>(c.level + 1),
+                    h.parent_value(c.level, c.value)};
+  return graph.NodeFor(up).value();
+}
+
+/// Breadth-first search over Children/Parent with a fully sorted layer.
+std::vector<NodeId> NearestNodesReference(const TimeSeriesGraph& graph,
+                                          NodeId node, std::size_t k) {
+  std::vector<NodeId> out;
+  if (k == 0) return out;
+  std::vector<bool> visited(graph.num_nodes(), false);
+  visited[node] = true;
+  std::vector<NodeId> frontier{node};
+  while (!frontier.empty() && out.size() < k) {
+    std::vector<NodeId> next;
+    for (NodeId cur : frontier) {
+      for (std::size_t d = 0; d < graph.schema().num_dimensions(); ++d) {
+        for (NodeId child : graph.Children(cur, d)) {
+          if (!visited[child]) {
+            visited[child] = true;
+            next.push_back(child);
+          }
+        }
+        const auto parent = graph.Parent(cur, d);
+        if (parent.ok() && !visited[parent.value()]) {
+          visited[parent.value()] = true;
+          next.push_back(parent.value());
+        }
+      }
+    }
+    std::sort(next.begin(), next.end());
+    for (NodeId id : next) {
+      if (out.size() >= k) break;
+      out.push_back(id);
+    }
+    frontier = std::move(next);
+  }
+  return out;
+}
+
+/// Distance through the lowest common ancestor, on AddressOf addresses.
+std::size_t DistanceReference(const TimeSeriesGraph& graph, NodeId a,
+                              NodeId b) {
+  const NodeAddress aa = graph.AddressOf(a);
+  const NodeAddress bb = graph.AddressOf(b);
+  std::size_t total = 0;
+  for (std::size_t d = 0; d < graph.schema().num_dimensions(); ++d) {
+    const Hierarchy& h = graph.schema().hierarchy(d);
+    LevelIndex la = aa.coords[d].level;
+    LevelIndex lb = bb.coords[d].level;
+    ValueIndex va = aa.coords[d].value;
+    ValueIndex vb = bb.coords[d].value;
+    while (la < lb) {
+      va = h.parent_value(la++, va);
+      ++total;
+    }
+    while (lb < la) {
+      vb = h.parent_value(lb++, vb);
+      ++total;
+    }
+    while (va != vb) {
+      va = h.parent_value(la++, va);
+      vb = h.parent_value(lb++, vb);
+      total += 2;
+    }
+  }
+  return total;
+}
+
+/// Three dimensions, one of them two levels deep: location (4 cities in
+/// 2 regions) x product (3) x channel (2); 7 * 4 * 3 = 84 nodes.
+TimeSeriesGraph MakeThreeDimensionGraph() {
+  Hierarchy location("location");
+  EXPECT_TRUE(location.AddLevel("city", {"C1", "C2", "C3", "C4"}).ok());
+  EXPECT_TRUE(location.AddLevel("region", {"R1", "R2"}).ok());
+  EXPECT_TRUE(location.SetParent(0, 0, 0).ok());
+  EXPECT_TRUE(location.SetParent(0, 1, 1).ok());
+  EXPECT_TRUE(location.SetParent(0, 2, 0).ok());
+  EXPECT_TRUE(location.SetParent(0, 3, 1).ok());
+  EXPECT_TRUE(location.Finalize().ok());
+  CubeSchema schema;
+  EXPECT_TRUE(schema.AddHierarchy(std::move(location)).ok());
+  EXPECT_TRUE(
+      schema.AddHierarchy(Hierarchy::Flat("product", {"P1", "P2", "P3"}))
+          .ok());
+  EXPECT_TRUE(
+      schema.AddHierarchy(Hierarchy::Flat("channel", {"web", "store"})).ok());
+  return TimeSeriesGraph::Create(std::move(schema)).value();
+}
+
+/// The graphs the walks are checked on: every node of these, plus a
+/// stride of Gen1000.
+std::vector<TimeSeriesGraph> ReferenceGraphs() {
+  std::vector<TimeSeriesGraph> graphs;
+  graphs.push_back(MakeThreeDimensionGraph());
+  graphs.push_back(testing::MakeFigure2Cube());
+  graphs.push_back(MakeTourism().value().graph);
+  graphs.push_back(MakeSales().value().graph);
+  graphs.push_back(MakeEnergy().value().graph);
+  return graphs;
+}
+
+TEST(Graph, WalksMatchDecodedAddressOnEveryNode) {
+  for (const TimeSeriesGraph& graph : ReferenceGraphs()) {
+    const std::size_t dims = graph.schema().num_dimensions();
+    std::string name;
+    for (NodeId node = 0; node < graph.num_nodes(); ++node) {
+      const NodeAddress address = DecodeReference(graph.schema(), node);
+      ASSERT_EQ(graph.AddressOf(node), address) << node;
+      std::string want;
+      std::size_t level_sum = 0;
+      for (std::size_t d = 0; d < dims; ++d) {
+        const Hierarchy& h = graph.schema().hierarchy(d);
+        const auto [level, value] = address.coords[d];
+        if (d > 0) want += ',';
+        want += h.level_name(level) + "=" + h.value_name(level, value);
+        level_sum += level;
+        EXPECT_EQ(graph.Children(node, d), ChildrenReference(graph, node, d))
+            << node << " dim " << d;
+        const auto parent = graph.Parent(node, d);
+        const std::optional<NodeId> want_parent =
+            ParentReference(graph, node, d);
+        ASSERT_EQ(parent.ok(), want_parent.has_value()) << node;
+        if (parent.ok()) {
+          EXPECT_EQ(parent.value(), *want_parent) << node;
+        }
+      }
+      graph.NodeNameInto(node, &name);
+      EXPECT_EQ(name, want);
+      EXPECT_EQ(graph.LevelSum(node), level_sum);
+      EXPECT_EQ(graph.IsBaseNode(node), level_sum == 0);
+    }
+  }
+}
+
+void ExpectNearestNodesMatchReference(const TimeSeriesGraph& graph,
+                                      NodeId node) {
+  const std::size_t n = graph.num_nodes();
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{16},
+                        std::size_t{326}, std::size_t{1024}, n - 1, n + 5}) {
+    EXPECT_EQ(graph.NearestNodes(node, k),
+              NearestNodesReference(graph, node, k))
+        << "node " << node << " k " << k << " of " << n;
+  }
+}
+
+TEST(Graph, NearestNodesMatchesReferenceBfs) {
+  for (const TimeSeriesGraph& graph : ReferenceGraphs()) {
+    for (NodeId node = 0; node < graph.num_nodes(); ++node) {
+      ExpectNearestNodesMatchReference(graph, node);
+    }
+  }
+  const TimeSeriesGraph gen = MakeGenX(1000).value().graph;
+  for (NodeId node = 0; node < gen.num_nodes(); node += 37) {
+    ExpectNearestNodesMatchReference(gen, node);
+  }
+  ExpectNearestNodesMatchReference(gen, gen.top_node());
+}
+
+TEST(Graph, DistanceMatchesReference) {
+  for (const TimeSeriesGraph& graph : ReferenceGraphs()) {
+    for (NodeId a = 0; a < graph.num_nodes(); ++a) {
+      for (NodeId b = 0; b < graph.num_nodes(); ++b) {
+        ASSERT_EQ(graph.Distance(a, b), DistanceReference(graph, a, b))
+            << a << " to " << b;
+      }
+    }
+  }
+  const TimeSeriesGraph gen = MakeGenX(1000).value().graph;
+  for (NodeId a = 0; a < gen.num_nodes(); a += 37) {
+    for (NodeId b = 0; b < gen.num_nodes(); b += 5) {
+      ASSERT_EQ(gen.Distance(a, b), DistanceReference(gen, a, b))
+          << a << " to " << b;
+    }
+  }
 }
 
 }  // namespace
