@@ -4,10 +4,11 @@
 // figure, with a header line naming the experiment. Run them all with
 //   for b in build/bench/*; do $b; done
 //
-// Fault injection: set F2DB_FAILPOINTS (same spec grammar as
-// failpoint::EnableFromSpec, e.g. "engine.refit=prob:0.1") to run any bench
-// against an injected failure mix — PrintHeader applies the variable and
-// echoes the active spec so logs are self-describing.
+// Fault injection: set F2DB_FAILPOINTS or F2DB_IOFAULTS (both take the
+// failpoint::EnableFromSpec grammar, e.g. "engine.refit=prob:0.1" or
+// "io.wal_fsync=eio:nth:50") to run any bench against an injected failure
+// mix — PrintHeader applies the variables and echoes the active spec so
+// logs are self-describing.
 
 #ifndef F2DB_BENCH_BENCH_UTIL_H_
 #define F2DB_BENCH_BENCH_UTIL_H_
@@ -72,7 +73,8 @@ inline AdvisorOptions BenchAdvisorOptions() {
 }
 
 /// Prints a section header recognizable in combined bench logs. Also arms
-/// any failpoints requested through F2DB_FAILPOINTS and echoes the spec.
+/// any failpoints requested through F2DB_FAILPOINTS or F2DB_IOFAULTS and
+/// echoes the spec.
 inline void PrintHeader(const std::string& experiment,
                         const std::string& figure,
                         const std::string& columns) {

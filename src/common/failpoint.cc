@@ -1,6 +1,7 @@
 #include "common/failpoint.h"
 
-#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -22,7 +23,7 @@ struct Site {
   std::unique_ptr<Rng> rng;  ///< Seeded stream for kProbability sites.
 };
 
-/// Registry state. `any_enabled` is the hot-path guard: Triggered() reads
+/// Registry state. `g_any_enabled` is the hot-path guard: Evaluate() reads
 /// it with one relaxed load and bails before touching the mutex when no
 /// site is armed anywhere.
 std::atomic<bool> g_any_enabled{false};
@@ -50,12 +51,12 @@ void RefreshAnyEnabledLocked() {
 }
 
 /// Evaluates an armed site's policy. Caller holds RegistryMutex().
-bool EvaluateLocked(Site& site) {
+std::optional<Fault> EvaluateLocked(Site& site) {
   const Policy& policy = site.policy;
-  if (policy.mode == Policy::Mode::kOff) return false;
+  if (policy.mode == Policy::Mode::kOff) return std::nullopt;
   ++site.evaluations;
   if (policy.max_triggers > 0 && site.triggers >= policy.max_triggers) {
-    return false;
+    return std::nullopt;
   }
   bool fire = false;
   switch (policy.mode) {
@@ -72,11 +73,25 @@ bool EvaluateLocked(Site& site) {
       fire = site.rng->NextDouble() < policy.probability;
       break;
   }
-  if (fire) ++site.triggers;
-  return fire;
+  if (!fire) return std::nullopt;
+  ++site.triggers;
+  return policy.fault;
 }
 
-/// Parses one "<site>=<policy>" entry. Returns the armed (site, policy).
+/// Parses a max-trigger count. A negative count is malformed: cast to
+/// size_t it would arm a site with an effectively unlimited budget.
+Result<std::size_t> ParseMaxTriggers(const std::string& text,
+                                     std::string_view entry) {
+  F2DB_ASSIGN_OR_RETURN(const std::int64_t max, ParseInt(text));
+  if (max < 0) {
+    return Status::InvalidArgument("failpoint max must be >= 0: " +
+                                   std::string(entry));
+  }
+  return static_cast<std::size_t>(max);
+}
+
+/// Parses one "<site>=off | [<fault>:]<mode> | <fault>" entry. Returns the
+/// armed (site, policy).
 Result<std::pair<std::string, Policy>> ParseEntry(std::string_view entry) {
   const std::size_t eq = entry.find('=');
   if (eq == std::string_view::npos) {
@@ -94,46 +109,85 @@ Result<std::pair<std::string, Policy>> ParseEntry(std::string_view entry) {
     return Status::InvalidArgument("failpoint spec entry has empty policy: " +
                                    std::string(entry));
   }
-  const std::string& kind = parts[0];
-  Policy policy;
-  if (kind == "off" && parts.size() == 1) {
-    policy = Policy::Off();
-  } else if (kind == "always" && parts.size() <= 2) {
-    std::size_t max_triggers = 0;
-    if (parts.size() == 2) {
-      F2DB_ASSIGN_OR_RETURN(const std::int64_t max, ParseInt(parts[1]));
-      max_triggers = static_cast<std::size_t>(max);
-    }
-    policy = Policy::Always(max_triggers);
-  } else if (kind == "nth" && (parts.size() == 2 || parts.size() == 3)) {
-    F2DB_ASSIGN_OR_RETURN(const std::int64_t n, ParseInt(parts[1]));
-    if (n < 1) {
-      return Status::InvalidArgument("failpoint nth period must be >= 1: " +
+  if (parts[0] == "off") {
+    if (parts.size() != 1) {
+      return Status::InvalidArgument("failpoint 'off' takes no arguments: " +
                                      std::string(entry));
     }
-    std::size_t max_triggers = 0;
-    if (parts.size() == 3) {
-      F2DB_ASSIGN_OR_RETURN(const std::int64_t max, ParseInt(parts[2]));
-      max_triggers = static_cast<std::size_t>(max);
-    }
-    policy = Policy::EveryNth(static_cast<std::size_t>(n), max_triggers);
-  } else if (kind == "prob" && (parts.size() == 2 || parts.size() == 3)) {
-    F2DB_ASSIGN_OR_RETURN(const double p, ParseDouble(parts[1]));
-    if (p < 0.0 || p > 1.0) {
-      return Status::InvalidArgument(
-          "failpoint probability must be in [0, 1]: " + std::string(entry));
-    }
-    std::uint64_t seed = 42;
-    if (parts.size() == 3) {
-      F2DB_ASSIGN_OR_RETURN(const std::int64_t s, ParseInt(parts[2]));
-      seed = static_cast<std::uint64_t>(s);
-    }
-    policy = Policy::WithProbability(p, seed);
-  } else {
-    return Status::InvalidArgument("unknown failpoint policy: " +
-                                   std::string(entry));
+    return std::make_pair(site, Policy::Off());
   }
+
+  // An optional fault keyword picks an errno outcome; the trigger mode
+  // after it then defaults to always.
+  std::optional<Fault> fault;
+  if (parts[0] == "eio") fault = Fault{Outcome::kErrno, EIO};
+  if (parts[0] == "enospc") fault = Fault{Outcome::kErrno, ENOSPC};
+  if (parts[0] == "short") fault = Fault{Outcome::kShortWrite, EIO};
+  const std::size_t at = fault.has_value() ? 1 : 0;  // index of the mode
+
+  Policy policy = Policy::Always();
+  if (at < parts.size()) {
+    const std::string& mode = parts[at];
+    const std::size_t args = parts.size() - at - 1;
+    const auto arg = [&](std::size_t i) -> const std::string& {
+      return parts[at + 1 + i];
+    };
+    if (mode == "always" && args <= 1) {
+      if (args == 1) {
+        F2DB_ASSIGN_OR_RETURN(policy.max_triggers,
+                              ParseMaxTriggers(arg(0), entry));
+      }
+    } else if (mode == "nth" && (args == 1 || args == 2)) {
+      F2DB_ASSIGN_OR_RETURN(const std::int64_t n, ParseInt(arg(0)));
+      if (n < 1) {
+        return Status::InvalidArgument("failpoint nth period must be >= 1: " +
+                                       std::string(entry));
+      }
+      policy = Policy::EveryNth(static_cast<std::size_t>(n));
+      if (args == 2) {
+        F2DB_ASSIGN_OR_RETURN(policy.max_triggers,
+                              ParseMaxTriggers(arg(1), entry));
+      }
+    } else if (mode == "prob" && (args == 1 || args == 2)) {
+      F2DB_ASSIGN_OR_RETURN(const double p, ParseDouble(arg(0)));
+      if (p < 0.0 || p > 1.0) {
+        return Status::InvalidArgument(
+            "failpoint probability must be in [0, 1]: " + std::string(entry));
+      }
+      std::uint64_t seed = 42;
+      if (args == 2) {
+        F2DB_ASSIGN_OR_RETURN(const std::int64_t s, ParseInt(arg(1)));
+        seed = static_cast<std::uint64_t>(s);
+      }
+      policy = Policy::WithProbability(p, seed);
+    } else {
+      return Status::InvalidArgument("unknown failpoint policy: " +
+                                     std::string(entry));
+    }
+  }
+  if (fault.has_value()) policy.fault = *fault;
   return std::make_pair(site, policy);
+}
+
+/// Applies one environment variable's spec. Returns the spec, or "" when
+/// the variable is unset or its spec was ignored.
+std::string ApplyEnvSpec(const std::string& variable) {
+  const char* spec = std::getenv(variable.c_str());
+  if (spec == nullptr || spec[0] == '\0') return "";
+  const Status status = EnableFromSpec(spec);
+  if (status.ok()) return spec;
+  // A silently ignored spec means a fault-injection test run that tests
+  // nothing. Under <variable>_STRICT=1 that is fatal; otherwise the
+  // legacy behavior (warn and run un-injected) is kept for benches.
+  const char* strict = std::getenv((variable + "_STRICT").c_str());
+  if (strict != nullptr && strict[0] == '1') {
+    std::fprintf(stderr, "%s malformed (strict mode, aborting): %s\n",
+                 variable.c_str(), status.ToString().c_str());
+    std::abort();
+  }
+  std::fprintf(stderr, "%s ignored: %s\n", variable.c_str(),
+               status.ToString().c_str());
+  return "";
 }
 
 }  // namespace
@@ -196,8 +250,9 @@ std::size_t Triggers(const std::string& site) {
   return it == Registry().end() ? 0 : it->second.triggers;
 }
 
-bool Triggered(const char* site) {
-  if (!g_any_enabled.load(std::memory_order_relaxed)) return false;
+std::optional<Fault> Evaluate(const char* site) {
+  if (site == nullptr) return std::nullopt;
+  if (!g_any_enabled.load(std::memory_order_relaxed)) return std::nullopt;
   std::lock_guard<std::mutex> lock(RegistryMutex());
   Site& entry = Registry()[site];
   return EvaluateLocked(entry);
@@ -218,25 +273,10 @@ Status EnableFromSpec(const std::string& spec) {
 }
 
 std::string InitFromEnv() {
-  const char* spec = std::getenv("F2DB_FAILPOINTS");
-  if (spec == nullptr || spec[0] == '\0') return "";
-  const Status status = EnableFromSpec(spec);
-  if (!status.ok()) {
-    // A silently ignored spec means a fault-injection test run that tests
-    // nothing. Under F2DB_FAILPOINTS_STRICT=1 that is fatal; otherwise the
-    // legacy behavior (warn and run un-injected) is kept for benches.
-    const char* strict = std::getenv("F2DB_FAILPOINTS_STRICT");
-    if (strict != nullptr && strict[0] == '1') {
-      std::fprintf(stderr,
-                   "F2DB_FAILPOINTS malformed (strict mode, aborting): %s\n",
-                   status.ToString().c_str());
-      std::abort();
-    }
-    std::fprintf(stderr, "F2DB_FAILPOINTS ignored: %s\n",
-                 status.ToString().c_str());
-    return "";
-  }
-  return spec;
+  std::string applied = ApplyEnvSpec("F2DB_FAILPOINTS");
+  const std::string io = ApplyEnvSpec("F2DB_IOFAULTS");
+  if (!applied.empty() && !io.empty()) applied += ';';
+  return applied + io;
 }
 
 Status InjectedFailure(const char* site) {

@@ -1,15 +1,20 @@
-// Failpoints: named fault-injection sites threaded through the hot paths.
+// Failpoints: named fault-injection sites threaded through the hot paths
+// and the durable I/O paths.
 //
-// A failpoint is a named site in library code (model fitting, optimizer
-// convergence, insert ingestion, catalog decoding, lazy re-estimation) that
-// tests and benches can arm with a trigger policy — always, every-Nth
-// evaluation, or a probability drawn from a seeded deterministic Rng. An
-// armed site that triggers makes the surrounding operation fail with
-// StatusCode::kUnavailable exactly as a real transient failure would, which
-// is how the engine's graceful-degradation ladder is exercised end to end
-// (see DESIGN.md, "Failure semantics and the degradation ladder").
+// A failpoint is a named site in library code that tests and benches can
+// arm with a trigger policy — always, every-Nth evaluation, or a
+// probability drawn from a seeded deterministic Rng — and an outcome:
+//   - kFail: the surrounding operation fails with StatusCode::kUnavailable
+//     exactly as a real transient failure would. Model fitting, optimizer
+//     convergence, insert ingestion, catalog decoding and lazy
+//     re-estimation carry such sites, which is how the engine's
+//     graceful-degradation ladder is exercised end to end (see DESIGN.md,
+//     "Failure semantics and the degradation ladder").
+//   - kErrno / kShortWrite: an fsio choke point (storage/fsio.h) fails its
+//     write or fsync with an errno, after landing a real prefix of the
+//     buffer in the short-write case (DESIGN.md §15, "Disk-fault policy").
 //
-// Cost model: when no failpoint is armed anywhere, Triggered() is a single
+// Cost model: when no site is armed anywhere, Evaluate() is a single
 // relaxed atomic load — safe to leave in production hot paths. While any
 // site is armed, evaluations serialize on one registry mutex (fault
 // injection is a test/bench mode, not a production mode).
@@ -21,9 +26,9 @@
 #ifndef F2DB_COMMON_FAILPOINT_H_
 #define F2DB_COMMON_FAILPOINT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +37,21 @@
 namespace f2db {
 namespace failpoint {
 
-/// Per-site trigger policy.
+/// What an armed site injects when it fires.
+enum class Outcome {
+  kFail,        ///< The operation fails with InjectedFailure(site).
+  kErrno,       ///< The I/O call fails with `err`; no bytes are written.
+  kShortWrite,  ///< A prefix of the buffer is written for real, then the
+                ///< call fails with `err` (a torn mid-call write).
+};
+
+/// One firing of a site.
+struct Fault {
+  Outcome outcome = Outcome::kFail;
+  int err = 0;  ///< The errno to surface for kErrno / kShortWrite.
+};
+
+/// Per-site policy: when the site fires, and what it injects.
 struct Policy {
   enum class Mode {
     kOff,          ///< Never triggers.
@@ -46,8 +65,10 @@ struct Policy {
   double probability = 0.0;     ///< kProbability trigger chance in [0, 1].
   std::uint64_t seed = 42;      ///< Seeds the site's deterministic Rng.
   /// Stop triggering after this many triggers; 0 = unlimited. The site
-  /// stays armed (counters keep advancing) but no longer fires.
+  /// stays armed (counters keep advancing) but no longer fires — this is
+  /// how a bounded "fault window" is expressed.
   std::size_t max_triggers = 0;
+  Fault fault;                  ///< What a firing injects.
 
   static Policy Off() { return {}; }
   static Policy Always(std::size_t max_triggers = 0) {
@@ -70,6 +91,19 @@ struct Policy {
     p.probability = probability;
     p.seed = seed;
     p.max_triggers = max_triggers;
+    return p;
+  }
+
+  /// This trigger policy, injecting errno `error` instead of kFail.
+  Policy Errno(int error) const {
+    Policy p = *this;
+    p.fault = {Outcome::kErrno, error};
+    return p;
+  }
+  /// This trigger policy, injecting a torn write that ends in `error`.
+  Policy ShortWrite(int error) const {
+    Policy p = *this;
+    p.fault = {Outcome::kShortWrite, error};
     return p;
   }
 };
@@ -101,28 +135,39 @@ std::size_t Evaluations(const std::string& site);
 /// Triggers fired by `site` since it was last armed.
 std::size_t Triggers(const std::string& site);
 
-/// Decides whether `site` fails now. The fast path (no site armed
-/// anywhere) is one relaxed atomic load.
-bool Triggered(const char* site);
+/// Decides whether — and how — `site` fails now. Returns nothing when the
+/// site does not fire, is unarmed, or is nullptr (anonymous I/O, never
+/// injected). The fast path (no site armed anywhere) is one relaxed
+/// atomic load.
+std::optional<Fault> Evaluate(const char* site);
+
+/// True when `site` fires now, whatever its outcome.
+inline bool Triggered(const char* site) { return Evaluate(site).has_value(); }
 
 /// Arms sites from a spec string:
-///   "engine.refit=always;engine.insert=nth:3;ts.arima_fit=prob:0.1:7"
+///   "engine.refit=always;io.wal_append=eio:nth:3;ts.arima_fit=prob:0.1:7"
 /// Entry grammar (';'-separated, whitespace ignored):
-///   <site>=off | always[:max] | nth:<n>[:max] | prob:<p>[:seed]
-/// Unknown sites are registered. Malformed entries abort with
-/// InvalidArgument before any site is armed.
+///   <site>=off | [<fault>:]<mode> | <fault>
+///   <fault> := eio | enospc | short        (short = partial write + EIO)
+///   <mode>  := always[:max] | nth:<n>[:max] | prob:<p>[:seed]
+/// Without a fault keyword a firing injects kFail; with one, the mode
+/// defaults to always. Unknown sites are registered. Malformed entries
+/// (including a negative max) abort with InvalidArgument before any site
+/// is armed.
 Status EnableFromSpec(const std::string& spec);
 
-/// Applies the F2DB_FAILPOINTS environment variable via EnableFromSpec
-/// (no-op when unset). Returns the applied spec, empty when none. A
-/// malformed spec is reported on stderr and ignored — unless
-/// F2DB_FAILPOINTS_STRICT=1 is also set, in which case the process aborts
-/// so a test run can never silently proceed with fault injection disabled.
+/// Applies the F2DB_FAILPOINTS and then the F2DB_IOFAULTS environment
+/// variable via EnableFromSpec; both take the grammar above. Returns the
+/// applied specs joined by ';', empty when none. A malformed spec is
+/// reported on stderr and ignored — unless its strict twin
+/// (F2DB_FAILPOINTS_STRICT=1 or F2DB_IOFAULTS_STRICT=1) is also set, in
+/// which case the process aborts so a fault-injection run can never
+/// silently proceed un-injected.
 std::string InitFromEnv();
 
-/// Builds the Status an armed site injects: kUnavailable with the site name
-/// in the message, so callers can tell injected/transient faults from
-/// programmer errors.
+/// Builds the Status a kFail firing injects: kUnavailable with the site
+/// name in the message and no errno marker, so callers can tell injected
+/// transient faults from programmer errors and from disk errors.
 Status InjectedFailure(const char* site);
 
 /// RAII guard for tests: disarms every failpoint on destruction.

@@ -121,17 +121,13 @@ F2dbEngine::F2dbEngine(TimeSeriesGraph graph, EngineOptions options)
 }
 
 F2dbEngine::~F2dbEngine() {
-  if (checkpoint_thread_.joinable() || compaction_thread_.joinable() ||
-      probe_thread_.joinable() || scrub_thread_.joinable()) {
+  if (!maintenance_threads_.empty()) {
     {
       std::lock_guard<std::mutex> lock(checkpoint_mutex_);
       stopping_ = true;
     }
     checkpoint_cv_.notify_all();
-    if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
-    if (compaction_thread_.joinable()) compaction_thread_.join();
-    if (probe_thread_.joinable()) probe_thread_.join();
-    if (scrub_thread_.joinable()) scrub_thread_.join();
+    for (std::thread& thread : maintenance_threads_) thread.join();
   }
   if (wal_) {
     std::lock_guard<std::mutex> lock(writer_mutex_);
@@ -186,21 +182,23 @@ Result<std::unique_ptr<F2dbEngine>> F2dbEngine::Open(TimeSeriesGraph graph,
   F2DB_ASSIGN_OR_RETURN(engine->store_,
                         storage::SegmentStore::Open(options.data_dir));
 
-  if (options.checkpoint_interval_seconds > 0.0) {
-    engine->checkpoint_thread_ =
-        std::thread([raw = engine.get()] { raw->CheckpointLoop(); });
-  }
-  if (options.compaction_interval_seconds > 0.0) {
-    engine->compaction_thread_ =
-        std::thread([raw = engine.get()] { raw->CompactionLoop(); });
-  }
-  if (options.disk_probe_interval_seconds > 0.0) {
-    engine->probe_thread_ =
-        std::thread([raw = engine.get()] { raw->ProbeLoop(); });
-  }
-  if (options.scrub_interval_seconds > 0.0) {
-    engine->scrub_thread_ =
-        std::thread([raw = engine.get()] { raw->ScrubLoop(); });
+  F2dbEngine* raw = engine.get();
+  const MaintenanceTask tasks[] = {
+      {options.checkpoint_interval_seconds, false,
+       [raw] { return raw->CheckpointNow(); }, "checkpoint"},
+      {options.compaction_interval_seconds, false,
+       [raw] { return raw->CompactNow(); }, "compaction"},
+      // A failing probe is the expected state while read-only: not logged.
+      {options.disk_probe_interval_seconds, true,
+       [raw] { return raw->ProbeDisk(); }, nullptr},
+      {options.scrub_interval_seconds, false,
+       [raw] { return raw->ScrubOnce(nullptr); }, "scrub"},
+  };
+  for (const MaintenanceTask& task : tasks) {
+    if (task.interval_seconds > 0.0) {
+      engine->maintenance_threads_.emplace_back(
+          [raw, task] { raw->MaintenanceLoop(task); });
+    }
   }
   return engine;
 }
@@ -1527,26 +1525,23 @@ Status F2dbEngine::CheckpointNow() {
   return Status::OK();
 }
 
-void F2dbEngine::CheckpointLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.checkpoint_interval_seconds);
+void F2dbEngine::MaintenanceLoop(const MaintenanceTask& task) {
+  const auto interval = std::chrono::duration<double>(task.interval_seconds);
   std::unique_lock<std::mutex> lock(checkpoint_mutex_);
   while (!stopping_) {
     if (checkpoint_cv_.wait_for(lock, interval,
                                 [this] { return stopping_; })) {
       break;
     }
+    // Checkpoints, compactions and scrubs park while read-only: their
+    // writes would only churn the failing device, and the probe, which
+    // runs only then, owns recovery.
+    if (disk_health_.read_only() != task.runs_while_read_only) continue;
     lock.unlock();
-    // Park while read-only: rotations and checkpoint writes would only
-    // churn the failing device; the probe owns recovery.
-    if (disk_health_.read_only()) {
-      lock.lock();
-      continue;
-    }
-    const Status status = CheckpointNow();
-    if (!status.ok()) {
-      F2DB_LOG(kWarning) << "background checkpoint failed: "
-                         << status.message();
+    const Status status = task.task();
+    if (!status.ok() && task.name != nullptr) {
+      F2DB_LOG(kWarning) << "background " << task.name
+                         << " failed: " << status.message();
     }
     lock.lock();
   }
@@ -1886,30 +1881,6 @@ Status F2dbEngine::CompactNow() {
   return status;
 }
 
-void F2dbEngine::CompactionLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.compaction_interval_seconds);
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
-  while (!stopping_) {
-    if (checkpoint_cv_.wait_for(lock, interval,
-                                [this] { return stopping_; })) {
-      break;
-    }
-    lock.unlock();
-    // Park while read-only: sealing would only churn the failing device.
-    if (disk_health_.read_only()) {
-      lock.lock();
-      continue;
-    }
-    const Status status = CompactNow();
-    if (!status.ok()) {
-      F2DB_LOG(kWarning) << "background compaction failed: "
-                         << status.message();
-    }
-    lock.lock();
-  }
-}
-
 // ------------------------------------------------------ disk-fault policy
 
 void F2dbEngine::RecordDiskOutcome(const Status& status) {
@@ -1922,32 +1893,19 @@ void F2dbEngine::RecordDiskOutcome(const Status& status) {
   if (err != 0) disk_health_.RecordFailure(err);
 }
 
-void F2dbEngine::ProbeLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.disk_probe_interval_seconds);
+Status F2dbEngine::ProbeDisk() {
+  // One durable sentinel write proves the device accepts writes again; it
+  // exercises the same open/write/fsync/rename path the WAL and
+  // checkpoints depend on.
   const std::string sentinel = options_.data_dir + "/.f2db-health-probe";
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
-  while (!stopping_) {
-    if (checkpoint_cv_.wait_for(lock, interval,
-                                [this] { return stopping_; })) {
-      break;
-    }
-    if (!disk_health_.read_only()) continue;
-    lock.unlock();
-    // One durable sentinel write proves the device accepts writes again;
-    // it exercises the same open/write/fsync/rename path the WAL and
-    // checkpoints depend on.
-    const Status probed = storage::WriteFileDurably(
-        sentinel, "ok\n", /*hook_before_rename=*/nullptr,
-        /*hook_after_rename=*/nullptr, storage::kIoSiteProbeWrite);
-    if (probed.ok()) {
-      (void)storage::RemoveFile(sentinel);
-      if (disk_health_.ExitReadOnly()) {
-        F2DB_LOG(kWarning) << "health probe succeeded; leaving read-only";
-      }
-    }
-    lock.lock();
+  F2DB_RETURN_IF_ERROR(storage::WriteFileDurably(
+      sentinel, "ok\n", /*hook_before_rename=*/nullptr,
+      /*hook_after_rename=*/nullptr, storage::kIoSiteProbeWrite));
+  (void)storage::RemoveFile(sentinel);
+  if (disk_health_.ExitReadOnly()) {
+    F2DB_LOG(kWarning) << "health probe succeeded; leaving read-only";
   }
+  return Status::OK();
 }
 
 bool F2dbEngine::ScrubPace(std::uint64_t bytes_read) {
@@ -1958,29 +1916,6 @@ bool F2dbEngine::ScrubPace(std::uint64_t bytes_read) {
   std::unique_lock<std::mutex> lock(checkpoint_mutex_);
   return !checkpoint_cv_.wait_for(lock, std::chrono::duration<double>(seconds),
                                   [this] { return stopping_; });
-}
-
-void F2dbEngine::ScrubLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.scrub_interval_seconds);
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
-  while (!stopping_) {
-    if (checkpoint_cv_.wait_for(lock, interval,
-                                [this] { return stopping_; })) {
-      break;
-    }
-    lock.unlock();
-    // Park while read-only: a reseal could not land anyway.
-    if (disk_health_.read_only()) {
-      lock.lock();
-      continue;
-    }
-    const Status status = ScrubOnce(nullptr);
-    if (!status.ok()) {
-      F2DB_LOG(kWarning) << "background scrub failed: " << status.message();
-    }
-    lock.lock();
-  }
 }
 
 Status F2dbEngine::ScrubOnce(ScrubReport* report) {

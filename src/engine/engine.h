@@ -35,6 +35,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -148,7 +149,7 @@ struct EngineOptions {
   double disk_retry_backoff_ms = 2.0;
   /// Read-only probe cadence in seconds: while read-only, a background
   /// thread writes and removes a sentinel file (<data_dir>/.f2db-health-
-  /// probe, iofault site io.probe_write) on this interval and exits
+  /// probe, failpoint site io.probe_write) on this interval and exits
   /// read-only on the first durable success. 0 disables the probe thread
   /// (read-only then persists until restart). Ignored in-memory.
   double disk_probe_interval_seconds = 0.25;
@@ -766,11 +767,23 @@ class F2dbEngine : public EngineInterface {
   CheckpointState BuildCheckpointStateLocked(const SnapshotPtr& snap,
                                              std::uint64_t wal_epoch) const;
 
-  /// Body of the background checkpoint thread.
-  void CheckpointLoop();
+  /// One background maintenance task, run on its own thread by
+  /// MaintenanceLoop every `interval_seconds`.
+  struct MaintenanceTask {
+    double interval_seconds = 0.0;
+    /// false: the task parks while the engine is read-only, since its
+    /// writes would only churn the failing device. true: the task runs
+    /// ONLY while read-only (the health probe).
+    bool runs_while_read_only = false;
+    std::function<Status()> task;
+    /// Failures log "background <name> failed: ..."; nullptr = not logged.
+    const char* name = nullptr;
+  };
 
-  /// Body of the background compaction thread.
-  void CompactionLoop();
+  /// Body of every background maintenance thread: waits the task's
+  /// interval on checkpoint_cv_, runs the task when the read-only rule
+  /// allows, and repeats until stopping_.
+  void MaintenanceLoop(const MaintenanceTask& task);
 
   // ------------------------------------------------ disk-fault internals
 
@@ -785,13 +798,10 @@ class F2dbEngine : public EngineInterface {
   /// a marker (validation errors, failpoint injections) are ignored.
   void RecordDiskOutcome(const Status& status);
 
-  /// Body of the read-only probe thread: while read-only, durably writes
-  /// and removes <data_dir>/.f2db-health-probe (iofault site
-  /// io.probe_write) each interval and exits read-only on success.
-  void ProbeLoop();
-
-  /// Body of the background scrubber thread (ScrubOnce per interval).
-  void ScrubLoop();
+  /// The read-only health probe task: durably writes and removes
+  /// <data_dir>/.f2db-health-probe (failpoint site io.probe_write) and
+  /// exits read-only on success.
+  Status ProbeDisk();
 
   /// Interruptible pacing sleep for the scrub byte-rate budget; returns
   /// false when the engine is stopping (the scrub pass aborts).
@@ -874,10 +884,7 @@ class F2dbEngine : public EngineInterface {
   std::mutex checkpoint_mutex_;
   std::condition_variable checkpoint_cv_;
   bool stopping_ = false;  ///< guarded by checkpoint_mutex_
-  std::thread checkpoint_thread_;
-  std::thread compaction_thread_;
-  std::thread probe_thread_;
-  std::thread scrub_thread_;
+  std::vector<std::thread> maintenance_threads_;  ///< one per MaintenanceTask
 };
 
 }  // namespace f2db

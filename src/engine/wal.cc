@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -71,9 +72,6 @@ Status WriteAllFd(int fd, const char* data, std::size_t size) {
 }
 
 Status FsyncFd(int fd, const char* what) {
-  if (failpoint::Triggered(kFailpointWalFsync)) {
-    return failpoint::InjectedFailure(kFailpointWalFsync);
-  }
   return storage::FsyncFd(fd, storage::kIoSiteWalFsync, what);
 }
 
@@ -351,9 +349,11 @@ Result<WalWriter> WalWriter::Create(const std::string& dir,
                                     std::uint64_t epoch, FsyncPolicy policy,
                                     std::size_t batch_records) {
   const std::string path = WalPath(dir, epoch);
-  const storage::iofault::Fault fault =
-      storage::iofault::Evaluate(storage::kIoSiteWalCreate);
-  if (fault.injected()) return storage::IoError("create", path, fault.err);
+  if (const std::optional<failpoint::Fault> fault =
+          failpoint::Evaluate(storage::kIoSiteWalCreate)) {
+    return storage::InjectedIoFailure(*fault, storage::kIoSiteWalCreate,
+                                      "create", path);
+  }
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) {
@@ -396,7 +396,6 @@ Result<WalWriter> WalWriter::Reopen(const std::string& dir,
 
 Status WalWriter::Append(const WalRecord& record) {
   if (fd_ < 0) return Status::FailedPrecondition("WAL writer is closed");
-  F2DB_INJECT_FAILPOINT(kFailpointWalAppend);
   const std::string frame = EncodeWalRecord(record);
   const Status written = WriteAllFd(fd_, frame.data(), frame.size());
   if (!written.ok()) {

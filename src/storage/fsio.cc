@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 namespace f2db::storage {
 namespace {
@@ -86,16 +87,25 @@ int ErrnoFromStatus(const Status& status) {
   return err;
 }
 
+Status InjectedIoFailure(const failpoint::Fault& fault, const char* site,
+                         const std::string& op, const std::string& what) {
+  if (fault.outcome == failpoint::Outcome::kFail) {
+    return failpoint::InjectedFailure(site);
+  }
+  return IoError(op, what, fault.err);
+}
+
 Status WriteAllFd(int fd, const char* data, std::size_t size,
                   const char* site, const std::string& what) {
-  const iofault::Fault fault = iofault::Evaluate(site);
-  if (fault.kind == iofault::FaultKind::kError) {
-    return IoError("write", what, fault.err);
+  const std::optional<failpoint::Fault> fault = failpoint::Evaluate(site);
+  const bool short_write =
+      fault.has_value() && fault->outcome == failpoint::Outcome::kShortWrite;
+  if (fault.has_value() && !short_write) {
+    return InjectedIoFailure(*fault, site, "write", what);
   }
   // An injected short write lands a real prefix of the buffer so torn-
   // tail rollback paths are exercised against genuine on-disk state.
-  const std::size_t limit =
-      fault.kind == iofault::FaultKind::kShortWrite ? size / 2 : size;
+  const std::size_t limit = short_write ? size / 2 : size;
   std::size_t written = 0;
   while (written < limit) {
     const ssize_t n = ::write(fd, data + written, limit - written);
@@ -106,15 +116,14 @@ Status WriteAllFd(int fd, const char* data, std::size_t size,
     if (n < 0 && errno == EINTR) continue;
     return IoError("write", what, errno);
   }
-  if (fault.kind == iofault::FaultKind::kShortWrite) {
-    return IoError("short write", what, fault.err);
-  }
+  if (short_write) return IoError("short write", what, fault->err);
   return Status::OK();
 }
 
 Status FsyncFd(int fd, const char* site, const std::string& what) {
-  const iofault::Fault fault = iofault::Evaluate(site);
-  if (fault.injected()) return IoError("fsync", what, fault.err);
+  if (const std::optional<failpoint::Fault> fault = failpoint::Evaluate(site)) {
+    return InjectedIoFailure(*fault, site, "fsync", what);
+  }
   if (::fsync(fd) != 0) return IoError("fsync", what, errno);
   return Status::OK();
 }

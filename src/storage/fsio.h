@@ -8,13 +8,15 @@
 // either the old file or the new file, never a torn one.
 //
 // This header is also the durability-I/O choke point (DESIGN.md §15):
-// WriteAllFd / FsyncFd / WriteFileDurably carry an optional iofault site
-// name so every device-facing write — WAL append and fsync, checkpoint
-// write, segment seal, manifest commit, the disk-health probe — can be
-// stormed with errno-level faults (EIO, ENOSPC, short writes) from a
-// seeded F2DB_IOFAULTS spec. Failures (real or injected) surface as
-// kUnavailable with a machine-parseable " [errno:<n>]" marker so the
-// engine's DiskHealth tracker can classify them without a richer Status.
+// WriteAllFd / FsyncFd / WriteFileDurably carry an optional failpoint site
+// name, so every device-facing write — WAL append and fsync, checkpoint
+// write, segment seal, manifest commit, the disk-health probe — has
+// exactly one fault site. A seeded spec (F2DB_IOFAULTS or F2DB_FAILPOINTS)
+// can storm it with errno-level faults (EIO, ENOSPC, short writes) or a
+// plain failure. Errno failures (real or injected) surface as kUnavailable
+// with a machine-parseable " [errno:<n>]" marker so the engine's
+// DiskHealth tracker can classify them without a richer Status; a plain
+// injected failure carries no marker and is not counted against the disk.
 
 #ifndef F2DB_STORAGE_FSIO_H_
 #define F2DB_STORAGE_FSIO_H_
@@ -23,21 +25,21 @@
 #include <string>
 #include <string_view>
 
+#include "common/failpoint.h"
 #include "common/status.h"
-#include "storage/iofault.h"
 
 namespace f2db::storage {
 
-// Named durability-I/O fault sites. Every site is an iofault registry
-// entry, armable via F2DB_IOFAULTS ("io.wal_append=eio:nth:3") or
-// iofault::Enable; see iofault.h for the spec grammar.
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteWalAppend, "io.wal_append")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteWalFsync, "io.wal_fsync")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteWalCreate, "io.wal_create")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteCheckpointWrite, "io.checkpoint_write")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteSegmentWrite, "io.segment_write")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteManifestCommit, "io.manifest_commit")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteProbeWrite, "io.probe_write")
+// Named durability-I/O fault sites. Every site is a failpoint registry
+// entry, armable via a spec ("io.wal_append=eio:nth:3") or
+// failpoint::Enable; see common/failpoint.h for the spec grammar.
+F2DB_DEFINE_FAILPOINT(kIoSiteWalAppend, "io.wal_append")
+F2DB_DEFINE_FAILPOINT(kIoSiteWalFsync, "io.wal_fsync")
+F2DB_DEFINE_FAILPOINT(kIoSiteWalCreate, "io.wal_create")
+F2DB_DEFINE_FAILPOINT(kIoSiteCheckpointWrite, "io.checkpoint_write")
+F2DB_DEFINE_FAILPOINT(kIoSiteSegmentWrite, "io.segment_write")
+F2DB_DEFINE_FAILPOINT(kIoSiteManifestCommit, "io.manifest_commit")
+F2DB_DEFINE_FAILPOINT(kIoSiteProbeWrite, "io.probe_write")
 
 /// Process-global crash hook: when set, FireStorageCrashHook invokes it
 /// with the protocol point name. The crash fuzzer installs a hook that
@@ -68,11 +70,16 @@ Result<std::string> ReadFileToString(const std::string& path);
 Status IoError(const std::string& op, const std::string& what, int err);
 
 /// Extracts the errno from a status message built by IoError; 0 when the
-/// message carries no marker (non-I/O failure, injected failpoint, ...).
+/// message carries no marker (non-I/O failure, kFail injection, ...).
 int ErrnoFromStatus(const Status& status);
 
+/// The status I/O call `op` on `what` surfaces when `site` fires `fault`:
+/// failpoint::InjectedFailure for kFail, else IoError with the errno.
+Status InjectedIoFailure(const failpoint::Fault& fault, const char* site,
+                         const std::string& op, const std::string& what);
+
 /// write(2) loop that retries EINTR and genuine short writes, evaluated
-/// against iofault site `site` (nullptr = never injected). An injected
+/// against failpoint site `site` (nullptr = never injected). An injected
 /// short write lands a real prefix of the buffer on the fd before the
 /// error returns — callers owning append-only files must truncate back.
 /// `what` names the target in error messages.

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/configuration.h"
@@ -26,8 +27,6 @@
 #include "engine/engine.h"
 #include "engine/sharded_engine.h"
 #include "engine/wal.h"
-#include "storage/fsio.h"
-#include "storage/iofault.h"
 #include "storage/fsio.h"
 #include "testing/differential.h"
 #include "testing/oracle.h"
@@ -212,15 +211,14 @@ void StorageKillHook(const char* point) {
   // no retry wrapper, so faults there would abort instead of being
   // absorbed. From here on every insert may tear or fail mid-write.
   if (dirty_disk) {
-    namespace iofault = storage::iofault;
-    iofault::Enable(storage::kIoSiteWalAppend,
-                    iofault::Policy::ShortWrite(
-                        EIO, iofault::Policy::Mode::kProbability, 0, 0.10,
-                        seed ^ 0xD177D15CULL));
-    iofault::Enable(storage::kIoSiteWalFsync,
-                    iofault::Policy::Error(EIO,
-                                           iofault::Policy::Mode::kProbability,
-                                           0, 0.05, seed ^ 0xF5C7EEULL));
+    failpoint::Enable(storage::kIoSiteWalAppend,
+                      failpoint::Policy::WithProbability(
+                          0.10, seed ^ 0xD177D15CULL)
+                          .ShortWrite(EIO));
+    failpoint::Enable(storage::kIoSiteWalFsync,
+                      failpoint::Policy::WithProbability(
+                          0.05, seed ^ 0xF5C7EEULL)
+                          .Errno(EIO));
   }
 
   for (std::size_t i = 0; i < kill_after; ++i) {
@@ -296,15 +294,14 @@ void StorageKillHook(const char* point) {
   }
 
   if (dirty_disk) {
-    namespace iofault = storage::iofault;
-    iofault::Enable(storage::kIoSiteWalAppend,
-                    iofault::Policy::ShortWrite(
-                        EIO, iofault::Policy::Mode::kProbability, 0, 0.10,
-                        seed ^ 0xD177D15CULL));
-    iofault::Enable(storage::kIoSiteWalFsync,
-                    iofault::Policy::Error(EIO,
-                                           iofault::Policy::Mode::kProbability,
-                                           0, 0.05, seed ^ 0xF5C7EEULL));
+    failpoint::Enable(storage::kIoSiteWalAppend,
+                      failpoint::Policy::WithProbability(
+                          0.10, seed ^ 0xD177D15CULL)
+                          .ShortWrite(EIO));
+    failpoint::Enable(storage::kIoSiteWalFsync,
+                      failpoint::Policy::WithProbability(
+                          0.05, seed ^ 0xF5C7EEULL)
+                          .Errno(EIO));
   }
 
   // A bare global oracle tracks the frontier and the expected verdicts. A

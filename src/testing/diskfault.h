@@ -9,7 +9,7 @@
 //      directory, and
 //   3. a second durable engine behind a loopback F2dbServer, driven over
 //      the wire through F2dbClient,
-// with a seeded probabilistic iofault policy armed on one I/O site for the
+// with a seeded probabilistic errno policy armed on one I/O site for the
 // whole op window. After every op the engines must either agree with
 // their oracle (values within tolerance, verdicts by status code,
 // degradation annotations exact — degraded-never-wrong) or reject the
@@ -55,7 +55,7 @@ struct DiskFaultDifferentialOptions {
 
   // ---- the fault window over the op list ----
 
-  /// iofault site armed for the whole op window ("io.wal_append",
+  /// Failpoint site armed for the whole op window ("io.wal_append",
   /// "io.wal_fsync", ...).
   std::string fault_site = "io.wal_append";
   /// errno injected at the site (5 = EIO, 28 = ENOSPC).

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 namespace f2db {
 namespace {
 
+using failpoint::Fault;
+using failpoint::Outcome;
 using failpoint::Policy;
 
 F2DB_DEFINE_FAILPOINT(kTestSite, "test.failpoint_site");
@@ -37,6 +41,20 @@ TEST_F(FailpointTest, AlwaysTriggersEveryEvaluation) {
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(failpoint::Triggered(kTestSite));
   EXPECT_EQ(failpoint::Evaluations(kTestSite), 5u);
   EXPECT_EQ(failpoint::Triggers(kTestSite), 5u);
+
+  // Every firing carries the armed outcome: kFail by default, else the
+  // errno the policy names.
+  const std::optional<Fault> plain = failpoint::Evaluate(kTestSite);
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(plain->outcome, Outcome::kFail);
+  failpoint::Enable(kTestSite, Policy::Always().Errno(EIO));
+  for (int i = 0; i < 5; ++i) {
+    const std::optional<Fault> fault = failpoint::Evaluate(kTestSite);
+    ASSERT_TRUE(fault.has_value());
+    EXPECT_EQ(fault->outcome, Outcome::kErrno);
+    EXPECT_EQ(fault->err, EIO);
+  }
+  EXPECT_EQ(failpoint::Triggers(kTestSite), 5u);
 }
 
 TEST_F(FailpointTest, MaxTriggersDisarmsAfterBudget) {
@@ -56,6 +74,14 @@ TEST_F(FailpointTest, EveryNthFiresOnMultiplesOfN) {
   const std::vector<bool> expected{false, false, true, false, false,
                                    true,  false, false, true};
   EXPECT_EQ(fired, expected);
+
+  // The period is independent of the outcome.
+  failpoint::Enable(kTestSite, Policy::EveryNth(3).Errno(ENOSPC));
+  fired.clear();
+  for (int i = 0; i < 9; ++i) {
+    fired.push_back(failpoint::Evaluate(kTestSite).has_value());
+  }
+  EXPECT_EQ(fired, expected);
 }
 
 TEST_F(FailpointTest, ProbabilityIsDeterministicPerSeed) {
@@ -69,6 +95,8 @@ TEST_F(FailpointTest, ProbabilityIsDeterministicPerSeed) {
   };
   EXPECT_EQ(run(7), run(7));  // re-arming resets the stream: identical
   EXPECT_NE(run(7), run(8));  // a different seed gives a different stream
+  EXPECT_NE(run(7), std::vector<bool>(64, false));
+  EXPECT_NE(run(7), std::vector<bool>(64, true));
 }
 
 TEST_F(FailpointTest, ProbabilityZeroNeverFiresOneAlwaysFires) {
@@ -114,6 +142,21 @@ TEST_F(FailpointTest, MalformedSpecRejectedWithoutArmingAnything) {
   EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=nth:0").ok());
   EXPECT_FALSE(failpoint::EnableFromSpec("=always").ok());
   EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=prob:1.5").ok());
+  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site").ok());
+  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=bogus").ok());
+  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=eio:nth").ok());
+  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=eio:off").ok());
+  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=off:1").ok());
+  EXPECT_FALSE(
+      failpoint::EnableFromSpec("test.failpoint_site=eio;test.spec_site=nope")
+          .ok());
+  // A negative max would wrap to an unlimited budget.
+  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=always:-1").ok());
+  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=nth:2:-3").ok());
+  EXPECT_FALSE(
+      failpoint::EnableFromSpec("test.failpoint_site=eio:always:-1").ok());
+  EXPECT_FALSE(
+      failpoint::EnableFromSpec("test.failpoint_site=short:nth:2:-3").ok());
   EXPECT_FALSE(failpoint::AnyEnabled());  // atomic spec: nothing armed
 }
 
@@ -173,6 +216,13 @@ TEST_F(FailpointTest, InitFromEnvAbortsOnMalformedSpecUnderStrict) {
         failpoint::InitFromEnv();
       },
       "F2DB_FAILPOINTS malformed \\(strict mode, aborting\\)");
+  EXPECT_DEATH(
+      {
+        ::setenv("F2DB_IOFAULTS", "test.failpoint_site=eio:bogus", 1);
+        ::setenv("F2DB_IOFAULTS_STRICT", "1", 1);
+        failpoint::InitFromEnv();
+      },
+      "F2DB_IOFAULTS malformed \\(strict mode, aborting\\)");
 }
 
 TEST_F(FailpointTest, InitFromEnvStrictAcceptsWellFormedSpec) {
@@ -180,6 +230,45 @@ TEST_F(FailpointTest, InitFromEnvStrictAcceptsWellFormedSpec) {
   ScopedEnv strict("F2DB_FAILPOINTS_STRICT", "1");
   EXPECT_EQ(failpoint::InitFromEnv(), "test.failpoint_site=nth:2");
   EXPECT_TRUE(failpoint::AnyEnabled());
+}
+
+TEST_F(FailpointTest, InitFromEnvAcceptsEitherGrammarInEitherVariable) {
+  struct Case {
+    const char* variable;
+    const char* spec;
+    Outcome outcome;
+    int err;
+  };
+  const Case cases[] = {
+      {"F2DB_FAILPOINTS", "test.failpoint_site=nth:2", Outcome::kFail, 0},
+      {"F2DB_FAILPOINTS", "test.failpoint_site=enospc:nth:2", Outcome::kErrno,
+       ENOSPC},
+      {"F2DB_IOFAULTS", "test.failpoint_site=nth:2", Outcome::kFail, 0},
+      {"F2DB_IOFAULTS", "test.failpoint_site=short:nth:2",
+       Outcome::kShortWrite, EIO},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.variable) + "=" + c.spec);
+    failpoint::DisableAll();
+    ScopedEnv spec(c.variable, c.spec);
+    EXPECT_EQ(failpoint::InitFromEnv(), c.spec);
+    EXPECT_FALSE(failpoint::Evaluate(kTestSite).has_value());
+    const std::optional<Fault> fault = failpoint::Evaluate(kTestSite);
+    ASSERT_TRUE(fault.has_value());
+    EXPECT_EQ(fault->outcome, c.outcome);
+    EXPECT_EQ(fault->err, c.err);
+  }
+}
+
+TEST_F(FailpointTest, InitFromEnvAppliesBothVariables) {
+  ScopedEnv failpoints("F2DB_FAILPOINTS", "test.failpoint_site=always");
+  ScopedEnv iofaults("F2DB_IOFAULTS", "test.spec_site=eio");
+  EXPECT_EQ(failpoint::InitFromEnv(),
+            "test.failpoint_site=always;test.spec_site=eio");
+  EXPECT_TRUE(failpoint::Triggered(kTestSite));
+  const std::optional<Fault> fault = failpoint::Evaluate("test.spec_site");
+  ASSERT_TRUE(fault.has_value());
+  EXPECT_EQ(fault->err, EIO);
 }
 
 }  // namespace

@@ -15,17 +15,15 @@
 #include <vector>
 
 #include "baselines/advisor_builder.h"
+#include "common/failpoint.h"
 #include "core/evaluator.h"
 #include "engine/engine.h"
 #include "storage/fsio.h"
-#include "storage/iofault.h"
 #include "testing/crash.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
 namespace {
-
-namespace iofault = storage::iofault;
 
 class ReadOnlyBrownoutTest : public ::testing::Test {
  protected:
@@ -49,7 +47,7 @@ class ReadOnlyBrownoutTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    iofault::DisableAll();
+    failpoint::DisableAll();
     testing::RemoveDirectoryTree(dir_);
   }
 
@@ -127,7 +125,8 @@ TEST_F(ReadOnlyBrownoutTest, EioStormEntersReadOnlyWithRetryHint) {
   const std::int64_t frontier =
       engine->snapshot()->graph->series(base).end_time();
 
-  iofault::Enable(storage::kIoSiteWalAppend, iofault::Policy::Error(EIO));
+  failpoint::Enable(storage::kIoSiteWalAppend,
+                    failpoint::Policy::Always().Errno(EIO));
 
   // Below the threshold each rejection carries the errno marker.
   const Status first = engine->InsertFact(base, frontier + 1, 1.0);
@@ -161,13 +160,15 @@ TEST_F(ReadOnlyBrownoutTest, ProbeExitsReadOnlyWhenDiskRecovers) {
   auto engine = Open(options);
   Advance(*engine, 4);
 
-  iofault::Enable(storage::kIoSiteWalAppend, iofault::Policy::Error(EIO));
+  failpoint::Enable(storage::kIoSiteWalAppend,
+                    failpoint::Policy::Always().Errno(EIO));
   // The probe itself must fail while the device is down, else it would
   // exit read-only between our assertions.
-  iofault::Enable(storage::kIoSiteProbeWrite, iofault::Policy::Error(EIO));
+  failpoint::Enable(storage::kIoSiteProbeWrite,
+                    failpoint::Policy::Always().Errno(EIO));
   StormToReadOnly(*engine);
 
-  iofault::DisableAll();
+  failpoint::DisableAll();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (engine->disk_health() != DiskHealthState::kOk &&
@@ -197,7 +198,8 @@ TEST_F(ReadOnlyBrownoutTest, EnospcSpendsOneEmergencyRetentionPass) {
   const std::int64_t frontier =
       engine->snapshot()->graph->series(base).end_time();
 
-  iofault::Enable(storage::kIoSiteWalAppend, iofault::Policy::Error(ENOSPC));
+  failpoint::Enable(storage::kIoSiteWalAppend,
+                    failpoint::Policy::Always().Errno(ENOSPC));
 
   // First ENOSPC failure spends the one-shot retention token; the second
   // must not spend another within the same failure episode.
@@ -211,9 +213,10 @@ TEST_F(ReadOnlyBrownoutTest, EnospcSpendsOneEmergencyRetentionPass) {
   EXPECT_GE(stats.io_failures_enospc, 2u);
 
   // A durable success ends the episode and re-arms the token.
-  iofault::DisableAll();
+  failpoint::DisableAll();
   ASSERT_TRUE(engine->InsertFact(base, frontier + 3, 1.0).ok());
-  iofault::Enable(storage::kIoSiteWalAppend, iofault::Policy::Error(ENOSPC));
+  failpoint::Enable(storage::kIoSiteWalAppend,
+                    failpoint::Policy::Always().Errno(ENOSPC));
   EXPECT_EQ(engine->InsertFact(base, frontier + 4, 1.0).code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(engine->stats().emergency_retentions, 2u);
@@ -225,7 +228,8 @@ TEST_F(ReadOnlyBrownoutTest, BrownoutQueriesSkipRefitsButStillServe) {
   auto engine = Open(options);
   Advance(*engine, 5);
 
-  iofault::Enable(storage::kIoSiteWalAppend, iofault::Policy::Error(EIO));
+  failpoint::Enable(storage::kIoSiteWalAppend,
+                    failpoint::Policy::Always().Errno(EIO));
   StormToReadOnly(*engine);
 
   // The accepted inserts left models invalid; a healthy query would lazily
@@ -240,6 +244,28 @@ TEST_F(ReadOnlyBrownoutTest, BrownoutQueriesSkipRefitsButStillServe) {
             std::string::npos)
       << result.value().degradation_reason;
   EXPECT_GE(engine->stats().brownout_refits_skipped, 1u);
+}
+
+TEST_F(ReadOnlyBrownoutTest, PlainInjectedWalFailureNeverTripsReadOnly) {
+  // A kFail firing at an I/O site is an injected transient failure, not a
+  // disk error: it carries no errno marker, so the disk-health tracker
+  // ignores it however long the streak.
+  const EngineOptions options = DurableOptions();
+  auto engine = Open(options);
+  Advance(*engine, 2);
+  const NodeId base = engine->graph().base_nodes()[0];
+  const std::int64_t frontier =
+      engine->snapshot()->graph->series(base).end_time();
+
+  failpoint::Enable(storage::kIoSiteWalAppend, failpoint::Policy::Always());
+  for (std::size_t i = 0; i < options.disk_failure_threshold + 2; ++i) {
+    const Status status = engine->InsertFact(
+        base, frontier + 1 + static_cast<std::int64_t>(i), 1.0);
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.message();
+    EXPECT_EQ(storage::ErrnoFromStatus(status), 0) << status.message();
+    EXPECT_EQ(engine->disk_health(), DiskHealthState::kOk);
+  }
+  EXPECT_EQ(engine->stats().read_only_entries, 0u);
 }
 
 // ------------------------------------------------- WAL short-write rollback
@@ -258,10 +284,9 @@ TEST_F(IoFaultWalRollbackTest, TornAppendBuffersNothingAndRetrySucceeds) {
 
   // Exactly one torn append: a real prefix lands on the fd, then the
   // writer must roll the file back so the WAL stays record-aligned.
-  iofault::Enable(
+  failpoint::Enable(
       storage::kIoSiteWalAppend,
-      iofault::Policy::ShortWrite(EIO, iofault::Policy::Mode::kAlways, 0,
-                                  0.0, 42, /*max_triggers=*/1));
+      failpoint::Policy::Always(/*max_triggers=*/1).ShortWrite(EIO));
   const Status torn = engine->InsertFact(base, frontier + 1, 7.0);
   EXPECT_EQ(torn.code(), StatusCode::kUnavailable);
   EXPECT_EQ(storage::ErrnoFromStatus(torn), EIO);
@@ -296,9 +321,8 @@ TEST_F(IoFaultWalRollbackTest, InlineRetryMasksATransientFault) {
       engine->snapshot()->graph->series(base).end_time();
 
   // One transient EIO, then the device heals: the caller never sees it.
-  iofault::Enable(storage::kIoSiteWalAppend,
-                  iofault::Policy::Error(EIO, iofault::Policy::Mode::kAlways,
-                                         0, 0.0, 42, /*max_triggers=*/1));
+  failpoint::Enable(storage::kIoSiteWalAppend,
+                    failpoint::Policy::Always(/*max_triggers=*/1).Errno(EIO));
   const Status status = engine->InsertFact(base, frontier + 1, 3.0);
   ASSERT_TRUE(status.ok()) << status.message();
 

@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "baselines/advisor_builder.h"
+#include "common/failpoint.h"
 #include "core/evaluator.h"
 #include "engine/checkpoint.h"
 #include "engine/engine.h"
 #include "storage/fsio.h"
-#include "storage/iofault.h"
 #include "storage/manifest.h"
 #include "storage/segment.h"
 #include "storage/store.h"
@@ -29,8 +29,6 @@
 
 namespace f2db {
 namespace {
-
-namespace iofault = storage::iofault;
 
 constexpr std::size_t kHorizon = 3;
 
@@ -73,7 +71,7 @@ class ScrubTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    iofault::DisableAll();
+    failpoint::DisableAll();
     testing::RemoveDirectoryTree(dir_);
   }
 
@@ -268,7 +266,8 @@ TEST_F(ScrubTest, FailedResealEntersReadOnlyThenHeals) {
   // The reseal compaction's segment write fails too: corruption detected,
   // but the repair cannot land — the engine must go read-only rather than
   // keep serving over a chain it cannot trust.
-  iofault::Enable(storage::kIoSiteSegmentWrite, iofault::Policy::Error(EIO));
+  failpoint::Enable(storage::kIoSiteSegmentWrite,
+                    failpoint::Policy::Always().Errno(EIO));
 
   ScrubReport report;
   const Status status = engine->ScrubOnce(&report);
@@ -282,7 +281,7 @@ TEST_F(ScrubTest, FailedResealEntersReadOnlyThenHeals) {
 
   // Device recovers: the probe exits read-only, and the still-pending
   // reseal (the flag survives a failed attempt) rewrites the chain.
-  iofault::DisableAll();
+  failpoint::DisableAll();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (engine->disk_health() != DiskHealthState::kOk &&

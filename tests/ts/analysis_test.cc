@@ -1,16 +1,12 @@
-// Tests for seasonality detection, classical decomposition, Box-Cox, the
-// Theta method, and automatic ARIMA order selection.
+// Tests for classical decomposition, Box-Cox and the Theta method.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "data/sarima_generator.h"
 #include "ts/accuracy.h"
-#include "ts/auto_arima.h"
 #include "ts/decomposition.h"
-#include "ts/seasonality.h"
 #include "ts/theta.h"
 
 namespace f2db {
@@ -27,41 +23,6 @@ TimeSeries SeasonalTrend(std::size_t n, std::size_t period, double amp,
              rng.Gaussian(0.0, noise);
   }
   return TimeSeries(out);
-}
-
-// ------------------------------------------------------------- seasonality
-
-TEST(Seasonality, DetectsQuarterlyAndMonthly) {
-  EXPECT_EQ(DetectSeasonality(SeasonalTrend(80, 4, 20, 0.5, 1)).period, 4u);
-  EXPECT_EQ(DetectSeasonality(SeasonalTrend(144, 12, 20, 0.5, 2)).period,
-            12u);
-}
-
-TEST(Seasonality, WhiteNoiseHasNoSeason) {
-  Rng rng(3);
-  std::vector<double> xs(200);
-  for (double& v : xs) v = rng.NextGaussian();
-  const auto result = DetectSeasonality(TimeSeries(xs));
-  EXPECT_EQ(result.period, 1u);
-  EXPECT_DOUBLE_EQ(result.strength, 0.0);
-}
-
-TEST(Seasonality, TrendAloneIsNotSeasonal) {
-  std::vector<double> xs(120);
-  for (std::size_t t = 0; t < xs.size(); ++t) xs[t] = static_cast<double>(t);
-  EXPECT_EQ(DetectSeasonality(TimeSeries(xs)).period, 1u);
-}
-
-TEST(Seasonality, RespectsCandidateRestriction) {
-  SeasonalityOptions options;
-  options.candidates = {7};  // wrong period only
-  const auto result =
-      DetectSeasonality(SeasonalTrend(120, 12, 25, 0.1, 4), options);
-  EXPECT_EQ(result.period, 1u);
-}
-
-TEST(Seasonality, ShortSeriesGraceful) {
-  EXPECT_EQ(DetectSeasonality(TimeSeries({1, 2, 3})).period, 1u);
 }
 
 // ----------------------------------------------------------- decomposition
@@ -222,85 +183,6 @@ TEST(Theta, RejectsTinySeriesAndBadState) {
   ThetaModel model(1);
   EXPECT_FALSE(model.Fit(TimeSeries({1, 2, 3})).ok());
   EXPECT_FALSE(model.RestoreState({1, 2, 3}).ok());
-}
-
-// -------------------------------------------------------------- auto arima
-
-TEST(AutoArima, SelectsDifferencingForRandomWalk) {
-  Rng rng(14);
-  std::vector<double> xs(300);
-  double level = 0.0;
-  for (double& v : xs) {
-    level += 1.0 + rng.Gaussian(0.0, 0.5);
-    v = level;
-  }
-  EXPECT_GE(SelectDifferencingOrder(xs, 2), 1u);
-  // Stationary noise needs none.
-  std::vector<double> noise(300);
-  for (double& v : noise) v = rng.NextGaussian();
-  EXPECT_EQ(SelectDifferencingOrder(noise, 2), 0u);
-}
-
-TEST(AutoArima, SeasonalDifferencingForStrongSeason) {
-  SarimaProcess process;
-  process.order.sd = 1;
-  process.order.season = 12;
-  process.noise_stddev = 0.2;
-  Rng rng(15);
-  const TimeSeries series = SimulateSarima(process, 240, rng);
-  EXPECT_EQ(SelectSeasonalDifferencing(series.values(), 12, 1), 1u);
-  std::vector<double> noise(240);
-  for (double& v : noise) v = rng.NextGaussian();
-  EXPECT_EQ(SelectSeasonalDifferencing(noise, 12, 1), 0u);
-}
-
-TEST(AutoArima, RecoversLowOrderForAr1) {
-  Rng rng(16);
-  std::vector<double> xs(600);
-  double prev = 0.0;
-  for (double& v : xs) {
-    prev = 0.7 * prev + rng.NextGaussian();
-    v = prev + 50.0;
-  }
-  AutoArimaOptions options;
-  options.max_p = 2;
-  options.max_q = 2;
-  auto result = AutoArima(TimeSeries(xs), options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result.value().models_tried, 1u);
-  EXPECT_EQ(result.value().order.d, 0u);
-  // AR(1)-ish structure: small total order, includes AR or MA terms.
-  EXPECT_LE(result.value().order.p + result.value().order.q, 3u);
-  EXPECT_GE(result.value().order.p + result.value().order.q, 1u);
-}
-
-TEST(AutoArima, ForecastsSarimaBetterThanNaive) {
-  SarimaProcess process;
-  process.order.p = 1;
-  process.order.sd = 1;
-  process.order.season = 12;
-  process.phi = {0.4};
-  process.noise_stddev = 0.5;
-  process.level_offset = 200.0;
-  Rng rng(17);
-  const TimeSeries series = SimulateSarima(process, 200, rng);
-  const auto [train, test] = series.TrainTestSplit(0.9);
-
-  AutoArimaOptions options;
-  options.season = 12;
-  options.max_p = 2;
-  options.max_q = 1;
-  auto result = AutoArima(train, options);
-  ASSERT_TRUE(result.ok());
-  const double model_err =
-      Smape(test.values(), result.value().model->Forecast(test.size()));
-  const double naive_err = Smape(
-      test.values(), std::vector<double>(test.size(), train.values().back()));
-  EXPECT_LT(model_err, naive_err);
-}
-
-TEST(AutoArima, RejectsShortSeries) {
-  EXPECT_FALSE(AutoArima(TimeSeries(std::vector<double>(8, 1.0))).ok());
 }
 
 }  // namespace

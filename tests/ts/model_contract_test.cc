@@ -10,7 +10,6 @@
 #include <tuple>
 
 #include "common/rng.h"
-#include "ts/history_selection.h"
 #include "ts/model_factory.h"
 
 namespace f2db {
@@ -167,60 +166,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ModelTypeName(std::get<0>(info.param))) + "_" +
              SeriesKindName(std::get<1>(info.param));
     });
-
-// ------------------------------------------------------- history selection
-
-TEST(HistorySelection, PrefersRecentWindowAfterLevelShift) {
-  // Level jumps at t = 60: training on the full history biases the mean
-  // model badly, the recent window wins.
-  std::vector<double> xs(120);
-  Rng rng(5);
-  for (std::size_t t = 0; t < xs.size(); ++t) {
-    xs[t] = (t < 60 ? 10.0 : 100.0) + rng.Gaussian(0.0, 1.0);
-  }
-  ModelFactory factory(ModelSpec{ModelType::kMean, 1, {}});
-  auto selection = SelectHistoryLength(TimeSeries(xs), factory);
-  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
-  EXPECT_LE(selection.value().length, 60u);
-  EXPECT_LT(selection.value().validation_smape, 0.1);
-  EXPECT_GT(selection.value().candidates_tried, 1u);
-}
-
-TEST(HistorySelection, StationarySeriesKeepsLongWindow) {
-  std::vector<double> xs(128);
-  Rng rng(6);
-  for (double& v : xs) v = 50.0 + rng.Gaussian(0.0, 2.0);
-  ModelFactory factory(ModelSpec{ModelType::kMean, 1, {}});
-  auto selection = SelectHistoryLength(TimeSeries(xs), factory);
-  ASSERT_TRUE(selection.ok());
-  // Longer windows average noise better; expect at least half the history.
-  EXPECT_GE(selection.value().length, 64u);
-}
-
-TEST(HistorySelection, Validation) {
-  ModelFactory factory(ModelSpec{ModelType::kMean, 1, {}});
-  EXPECT_FALSE(
-      SelectHistoryLength(TimeSeries({1, 2, 3}), factory).ok());
-  HistorySelectionOptions bad;
-  bad.validation_length = 0;
-  EXPECT_FALSE(SelectHistoryLength(TimeSeries(std::vector<double>(100, 1.0)),
-                                   factory, bad)
-                   .ok());
-}
-
-TEST(HistorySelection, ExplicitCandidates) {
-  std::vector<double> xs(100);
-  Rng rng(7);
-  for (double& v : xs) v = 10.0 + rng.Gaussian(0.0, 1.0);
-  ModelFactory factory(ModelSpec{ModelType::kSes, 1, {}});
-  HistorySelectionOptions options;
-  options.candidate_lengths = {100, 40};
-  auto selection = SelectHistoryLength(TimeSeries(xs), factory, options);
-  ASSERT_TRUE(selection.ok());
-  EXPECT_TRUE(selection.value().length == 100 ||
-              selection.value().length == 40);
-  EXPECT_EQ(selection.value().candidates_tried, 2u);
-}
 
 }  // namespace
 }  // namespace f2db
